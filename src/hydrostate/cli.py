@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import Any, Mapping
+
+import numpy as np
 
 from .completion import (
     ObservationSet,
@@ -30,10 +32,10 @@ from .errors import (
     NetworkValidationError,
     NonConvergenceError,
 )
-from .hydraulics import SOLVER_TOLERANCE, residuals, state_from_json_dict
+from .hydraulics import SOLVER_TOLERANCE, head_loss, residuals, state_from_json_dict
 from .network import Network, network_from_json_dict, network_to_json_dict
 from .observability import Verdict, classify_observation_pattern
-from .structure import EdgeDecomposition, greedy_independent_columns
+from .structure import DEFAULT_IMAGE_TOL, EdgeDecomposition, greedy_independent_columns
 from .testkit import GeneratorConfig, random_connected_wds
 
 EXIT_OK = 0
@@ -46,19 +48,7 @@ EXIT_FILE = 65
 
 
 def _emit(payload: Any) -> None:
-    print(json.dumps(_normalize(payload), indent=2))
-
-
-def _normalize(obj: Any) -> Any:
-    # Floats pass through a 17-significant-digit round trip, which preserves
-    # the exact value and keeps reports byte-stable across runs.
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    if isinstance(obj, dict):
-        return {k: _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    return obj
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _diag(message: str) -> None:
@@ -179,7 +169,7 @@ def _cmd_solve(args) -> int:
         return EXIT_FILE
 
     solver_tol = args.tol if args.tol is not None else SOLVER_TOLERANCE
-    image_tol = args.tol if args.tol is not None else None
+    image_tol = args.tol if args.tol is not None else DEFAULT_IMAGE_TOL
     options = SolverOptions(max_iterations=args.max_iter, tolerance=solver_tol)
 
     theorem = args.theorem
@@ -201,9 +191,8 @@ def _cmd_solve(args) -> int:
         if theorem == "all-heads":
             report = complete_from_heads(net, obs.head_vector(net))
         elif theorem == "heads-flows":
-            kwargs = {} if image_tol is None else {"tol": image_tol}
             report = complete_from_reservoir_heads_and_flows(
-                net, obs.reservoir_head_vector(net), obs.flow_vector(net), **kwargs
+                net, obs.reservoir_head_vector(net), obs.flow_vector(net), image_tol
             )
         elif theorem == "forest-flows":
             observed = tuple(pid for pid in net.pipe_ids if pid in obs.flows)
@@ -226,6 +215,9 @@ def _cmd_solve(args) -> int:
             report = complete_from_forest_flows(
                 net, obs.reservoir_head_vector(net), forest_flows, dec
             )
+            surplus = {pid: obs.flows[pid] for pid in observed if pid not in chosen}
+            if surplus:
+                _check_surplus_flows(net, report.state.heads, surplus, image_tol)
         elif theorem == "demand-driven":
             report = solve_reservoir_heads_demands(
                 net, obs.reservoir_head_vector(net), obs.demand_vector(net), options
@@ -262,6 +254,27 @@ def _cmd_solve(args) -> int:
 
     _emit(report.to_json_dict(net))
     return EXIT_OK
+
+
+def _check_surplus_flows(
+    net: Network, heads: np.ndarray, flows: Mapping[str, float], tol: float
+) -> None:
+    """Raise :class:`InconsistentObservationsError` if observed flows contradict the heads.
+
+    Each flow must satisfy the energy law ``h_tail - h_head = f(q)`` on its
+    pipe. As in :func:`~hydrostate.structure.image_membership`, the largest
+    residual is taken relative to the largest entry of the target
+    ``f(q) - Br^T h_r``, and never relative to less than 1.
+    """
+    pipes = np.array([net.pipe_index[pid] for pid in flows])
+    tails, ends = net.tail_indices[pipes], net.head_indices[pipes]
+    loss = head_loss(np.array(list(flows.values())), net.resistances[pipes])
+    reservoir = np.zeros(net.n_nodes)
+    reservoir[net.reservoir_indices] = heads[net.reservoir_indices]
+    target = loss - (reservoir[tails] - reservoir[ends])
+    residual = float(np.max(np.abs(heads[tails] - heads[ends] - loss)))
+    if residual / max(1.0, float(np.max(np.abs(target)))) > tol:
+        raise InconsistentObservationsError(residual)
 
 
 def _cmd_check(args) -> int:

@@ -9,12 +9,18 @@ Four routes recover a full physically correct state:
   consumer heads, then chord flows and demands in closed form;
 * reservoir heads plus consumer demands (the classic simulator input):
   damped Newton iteration on the coupled energy/mass system, whose solution
-  exists and is unique.
+  exists and is unique. Each step eliminates the flows and solves only the
+  symmetric positive definite consumer-head system (the Global Gradient
+  Algorithm of Todini & Pilati), a dense n_c x n_c matrix of 8 * n_c**2
+  bytes assembled from the pipe end indices.
+
+Every route rejects non-finite heads, flows and demands.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -39,7 +45,7 @@ from .hydraulics import (
     residuals,
     state_to_json_dict,
 )
-from .network import Network, consumer_incidence, incidence_matrix, reservoir_incidence
+from .network import Network, consumer_outflow, incidence_matrix
 from .structure import (
     DEFAULT_IMAGE_TOL,
     EdgeDecomposition,
@@ -118,9 +124,15 @@ class ObservationSet:
             if not isinstance(raw, Mapping):
                 raise FormatError(f"observation section {key!r} must be an object")
             try:
-                return {str(k): float(v) for k, v in raw.items()}
+                values = {str(k): float(v) for k, v in raw.items()}
             except (TypeError, ValueError):
                 raise FormatError(f"non-numeric value in observation section {key!r}") from None
+            for k, v in values.items():
+                if not math.isfinite(v):
+                    raise FormatError(
+                        f"non-finite value {v!r} at {k!r} in observation section {key!r}"
+                    )
+            return values
         return cls(heads=section("heads"), flows=section("flows"), demands=section("demands"))
 
     def to_json_dict(self) -> dict:
@@ -161,13 +173,46 @@ class SolveReport:
         }
 
 
-def _assemble_heads(net: Network, reservoir_heads: np.ndarray, consumer_heads: np.ndarray) -> np.ndarray:
+def _assemble_heads(
+    net: Network, reservoir_heads: np.ndarray | float, consumer_heads: np.ndarray | float
+) -> np.ndarray:
     h = np.empty(net.n_nodes)
-    for value, nid in zip(reservoir_heads, net.reservoir_ids):
-        h[net.node_index[nid]] = value
-    for value, nid in zip(consumer_heads, net.consumer_ids):
-        h[net.node_index[nid]] = value
+    h[net.reservoir_indices] = reservoir_heads
+    h[net.consumer_indices] = consumer_heads
     return h
+
+
+def _pipe_drops(
+    net: Network, reservoir_heads: np.ndarray | float, consumer_heads: np.ndarray | float
+) -> np.ndarray:
+    """Head drop along every pipe, ``Br^T h_r + Bc^T h_c``."""
+    h = _assemble_heads(net, reservoir_heads, consumer_heads)
+    return h[net.tail_indices] - h[net.head_indices]
+
+
+def _head_matrix(net: Network, weights: np.ndarray) -> np.ndarray:
+    """Dense ``Bc diag(weights) Bc^T``: one scatter of every pipe's weight into n_c**2 cells.
+
+    A pipe adds its weight on the diagonal at each consumer end and subtracts
+    it at the two off-diagonal cells when both ends are consumers; reservoir
+    ends contribute nothing.
+    """
+    n_c = net.n_consumers
+    position = np.full(net.n_nodes, -1)
+    position[net.consumer_indices] = np.arange(n_c)
+    tails, heads = position[net.tail_indices], position[net.head_indices]
+    inner = (tails >= 0) & (heads >= 0)
+    rows = np.concatenate([tails, heads, tails[inner], heads[inner]])
+    cols = np.concatenate([tails, heads, heads[inner], tails[inner]])
+    values = np.concatenate([weights, weights, -weights[inner], -weights[inner]])
+    keep = rows >= 0
+    flat = np.bincount(rows[keep] * n_c + cols[keep], values[keep], minlength=n_c * n_c)
+    return flat.reshape(n_c, n_c)
+
+
+def _require_finite(what: str, values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise InvalidObservationError(f"{what} must be finite")
 
 
 def _warn_negative_heads(consumer_heads: np.ndarray) -> None:
@@ -191,6 +236,7 @@ def complete_from_heads(net: Network, heads: np.ndarray) -> SolveReport:
     h = np.asarray(heads, dtype=float)
     if h.shape != (net.n_nodes,):
         raise ValueError(f"head vector must have one entry per node ({net.n_nodes})")
+    _require_finite("heads", h)
     drops = h[net.tail_indices] - h[net.head_indices]
     q = invert_head_loss(drops, net.resistances)
     d = demands_from_flows(net, q)
@@ -218,7 +264,9 @@ def complete_from_reservoir_heads_and_flows(
         raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
     if q.shape != (net.n_pipes,):
         raise ValueError(f"need one flow per pipe ({net.n_pipes})")
-    target = head_loss(q, net.resistances) - reservoir_incidence(net).T @ h_r
+    _require_finite("reservoir heads", h_r)
+    _require_finite("flows", q)
+    target = head_loss(q, net.resistances) - _pipe_drops(net, h_r, 0.0)
     membership = image_membership(net, target, tol)
     if not membership.member:
         raise InconsistentObservationsError(membership.residual)
@@ -266,6 +314,8 @@ def complete_from_forest_flows(
         raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
 
     q_forest = np.array([float(forest_flows[pid]) for pid in dec.independent])
+    _require_finite("reservoir heads", h_r)
+    _require_finite("forest flows", q_forest)
     h_c = _forest_consumer_heads(net, dec, h_r, q_forest)
     _warn_negative_heads(h_c)
     h = _assemble_heads(net, h_r, h_c)
@@ -295,13 +345,10 @@ def _initial_point(
         # One symmetric positive definite solve seeds every pipe with a flow
         # of physically sensible size, so the first Jacobian is genuine on
         # every pipe that matters.
-        Bc = consumer_incidence(net)
-        Br = reservoir_incidence(net)
         g = 1.0 / net.resistances
-        laplacian = (Bc * g) @ Bc.T
-        rhs = -demands - Bc @ (g * (Br.T @ reservoir_heads))
-        h_c = np.linalg.solve(laplacian, rhs)
-        q = g * (Br.T @ reservoir_heads + Bc.T @ h_c)
+        rhs = -demands - consumer_outflow(net, g * _pipe_drops(net, reservoir_heads, 0.0))
+        h_c = np.linalg.solve(_head_matrix(net, g), rhs)
+        q = g * _pipe_drops(net, reservoir_heads, h_c)
         return q, h_c
     if options.initial_strategy == "forest":
         # Mass-feasible start: forest flows carry the demands, chords stay dry.
@@ -327,6 +374,22 @@ def _initial_point(
     raise ValueError(f"unknown initial strategy: {options.initial_strategy!r}")
 
 
+def _newton_step(net: Network, slope: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton step ``(dq, dh_c)`` for the residual ``F = (energy, mass)``.
+
+    The Jacobian is ``[[-D, Bc^T], [Bc, 0]]`` with ``D = diag(slope)``. Its
+    Schur complement eliminates the flows: solve
+    ``Bc D^-1 Bc^T dh_c = -mass - Bc D^-1 energy``, then
+    ``dq = D^-1 (Bc^T dh_c + energy)``.
+    """
+    energy, mass = F[: net.n_pipes], F[net.n_pipes :]
+    g = 1.0 / slope
+    rhs = -mass - consumer_outflow(net, g * energy)
+    dh = np.linalg.solve(_head_matrix(net, g), rhs)
+    dq = g * (_pipe_drops(net, 0.0, dh) + energy)
+    return dq, dh
+
+
 def solve_reservoir_heads_demands(
     net: Network,
     reservoir_heads: np.ndarray,
@@ -341,12 +404,17 @@ def solve_reservoir_heads_demands(
     * energy: ``Bc^T h_c + Br^T h_r - f(q) = 0`` on every pipe,
     * mass: ``Bc q + d = 0`` at every consumer,
 
-    is solved by damped Newton iteration on the stacked unknowns ``(q, h_c)``.
-    The head-loss derivative vanishes at zero flow, so the Jacobian clamps
-    ``|q|`` from below by ``options.zero_flow_epsilon``; the residual itself
-    always uses the exact nonlinearity, so the converged state is unbiased.
-    Raises :class:`NonConvergenceError` when the iteration budget runs out or
-    no damped step decreases the residual.
+    is solved by damped Newton iteration on the unknowns ``(q, h_c)``. Each
+    step eliminates the flow update and solves the reduced symmetric positive
+    definite system ``Bc D^-1 Bc^T dh_c = ...`` over the consumer heads alone
+    (the Global Gradient Algorithm, as in EPANET), where ``D = diag(f'(q))``;
+    the dense n_c x n_c matrix takes 8 * n_c**2 bytes. The head-loss
+    derivative vanishes at zero flow, so ``D`` clamps ``|q|`` from below by
+    ``options.zero_flow_epsilon``; the residual itself always uses the exact
+    nonlinearity, so the converged state is unbiased. Raises
+    :class:`InvalidObservationError` on non-finite heads or demands and
+    :class:`NonConvergenceError` when the iteration budget runs out or no
+    damped step decreases the residual.
     """
     opts = options if options is not None else SolverOptions()
     h_r = np.asarray(reservoir_heads, dtype=float)
@@ -355,16 +423,15 @@ def solve_reservoir_heads_demands(
         raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
     if d.shape != (net.n_consumers,):
         raise ValueError(f"need one demand per consumer ({net.n_consumers})")
+    _require_finite("reservoir heads", h_r)
+    _require_finite("demands", d)
 
-    Bc = consumer_incidence(net)
-    Br = reservoir_incidence(net)
     r = net.resistances
-    n_p, n_c = net.n_pipes, net.n_consumers
     x = HAZEN_WILLIAMS_EXPONENT
 
     def residual_vector(q: np.ndarray, h_c: np.ndarray) -> np.ndarray:
-        energy = Bc.T @ h_c + Br.T @ h_r - head_loss(q, r)
-        mass = Bc @ q + d
+        energy = _pipe_drops(net, h_r, h_c) - head_loss(q, r)
+        mass = consumer_outflow(net, q) + d
         return np.concatenate([energy, mass])
 
     q, h_c = _initial_point(net, h_r, d, opts)
@@ -376,17 +443,13 @@ def solve_reservoir_heads_demands(
         if iterations >= opts.max_iterations:
             raise NonConvergenceError(iterations, norm)
         slope = x * r * np.maximum(np.abs(q), opts.zero_flow_epsilon) ** (x - 1.0)
-        jac = np.zeros((n_p + n_c, n_p + n_c))
-        jac[:n_p, :n_p] = -np.diag(slope)
-        jac[:n_p, n_p:] = Bc.T
-        jac[n_p:, :n_p] = Bc
-        step = np.linalg.solve(jac, -F)
+        dq, dh = _newton_step(net, slope, F)
 
         # Halve the step until the residual strictly decreases.
         lam = 1.0
         for _ in range(opts.max_step_halvings + 1):
-            q_new = q + lam * step[:n_p]
-            h_new = h_c + lam * step[n_p:]
+            q_new = q + lam * dq
+            h_new = h_c + lam * dh
             F_new = residual_vector(q_new, h_new)
             norm_new = float(np.max(np.abs(F_new)))
             if norm_new < norm:

@@ -46,7 +46,7 @@ class EmptySubsetError(HydrostateError):
 
 
 class InvalidObservationError(HydrostateError):
-    """Observation keys do not resolve against the network."""
+    """Observation keys do not resolve against the network, or values are not finite."""
 
 
 class DecompositionMismatchError(HydrostateError):

@@ -19,7 +19,7 @@ from .errors import FormatError
 from .network import (
     HAZEN_WILLIAMS_EXPONENT,
     Network,
-    consumer_incidence,
+    consumer_outflow,
     incidence_matrix,
 )
 
@@ -67,10 +67,10 @@ class HydraulicState:
             object.__setattr__(self, name, arr)
 
     def reservoir_heads(self, net: Network) -> np.ndarray:
-        return self.heads[[net.node_index[nid] for nid in net.reservoir_ids]]
+        return self.heads[net.reservoir_indices]
 
     def consumer_heads(self, net: Network) -> np.ndarray:
-        return self.heads[[net.node_index[nid] for nid in net.consumer_ids]]
+        return self.heads[net.consumer_indices]
 
 
 def state_to_json_dict(net: Network, state: HydraulicState) -> dict:
@@ -91,6 +91,8 @@ def state_from_json_dict(net: Network, doc: Mapping) -> HydraulicState:
         demands = [float(doc["demands"][cid]) for cid in net.consumer_ids]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"incomplete or malformed state document: {exc}") from None
+    if not np.all(np.isfinite(heads + flows + demands)):
+        raise FormatError("non-finite value in state document")
     return HydraulicState(np.array(heads), np.array(flows), np.array(demands))
 
 
@@ -99,7 +101,7 @@ def demands_from_flows(net: Network, flows: np.ndarray) -> np.ndarray:
     flows = np.asarray(flows, dtype=float)
     if flows.shape != (net.n_pipes,):
         raise ValueError(f"flow vector must have one entry per pipe ({net.n_pipes})")
-    return -(consumer_incidence(net) @ flows)
+    return -consumer_outflow(net, flows)
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def residuals(net: Network, state: HydraulicState) -> ResidualReport:
     if h.shape != (net.n_nodes,) or q.shape != (net.n_pipes,) or d.shape != (net.n_consumers,):
         raise ValueError("state dimensions do not match the network")
     energy = (h[net.tail_indices] - h[net.head_indices]) - head_loss(q, net.resistances)
-    mass = d + consumer_incidence(net) @ q
+    mass = d + consumer_outflow(net, q)
     e_arg = int(np.argmax(np.abs(energy)))
     m_arg = int(np.argmax(np.abs(mass)))
     return ResidualReport(

@@ -10,6 +10,7 @@ immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -55,7 +56,7 @@ class PipeParams:
     """Physical pipe parameters in SI units.
 
     length in meters, diameter in meters, roughness the dimensionless
-    Hazen-Williams coefficient. All three must be strictly positive.
+    Hazen-Williams coefficient. All three must be finite and strictly positive.
     """
 
     length: float
@@ -155,6 +156,20 @@ class Network:
         return idx
 
     @cached_property
+    def consumer_indices(self) -> np.ndarray:
+        """Node positions of the consumers, in ``consumer_ids`` order."""
+        idx = np.array([self.node_index[nid] for nid in self.consumer_ids], dtype=np.intp)
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def reservoir_indices(self) -> np.ndarray:
+        """Node positions of the reservoirs, in ``reservoir_ids`` order."""
+        idx = np.array([self.node_index[nid] for nid in self.reservoir_ids], dtype=np.intp)
+        idx.setflags(write=False)
+        return idx
+
+    @cached_property
     def resistances(self) -> np.ndarray:
         """Resistance coefficient per pipe, canonical order."""
         r = np.array([resistance(p.params) for p in self.pipes], dtype=float)
@@ -224,13 +239,16 @@ def incidence_matrix(net: Network) -> IncidenceMatrix:
     return IncidenceMatrix(mat, net.node_ids, net.pipe_ids)
 
 
-def consumer_incidence(net: Network) -> np.ndarray:
-    """Consumer-row incidence submatrix as a float array (workhorse of the solvers)."""
-    return incidence_matrix(net).restrict(nodes=net.consumer_ids).entries.astype(float)
+def consumer_outflow(net: Network, pipe_values: np.ndarray) -> np.ndarray:
+    """``Bc @ pipe_values`` for the consumer-row incidence ``Bc``, without building it.
 
-
-def reservoir_incidence(net: Network) -> np.ndarray:
-    return incidence_matrix(net).restrict(nodes=net.reservoir_ids).entries.astype(float)
+    With flows as ``pipe_values`` this is the net outflow at each consumer: the
+    flow leaving through pipes it tails minus the flow arriving through pipes
+    it heads, summed by one scatter per pipe end.
+    """
+    out = np.bincount(net.tail_indices, pipe_values, minlength=net.n_nodes)
+    out -= np.bincount(net.head_indices, pipe_values, minlength=net.n_nodes)
+    return out[net.consumer_indices]
 
 
 NodeSpec = tuple[str, "NodeRole | str"]
@@ -244,8 +262,8 @@ def build_network(nodes: Iterable[NodeSpec], pipes: Iterable[PipeSpec]) -> Netwo
     ``(id, tail, head, PipeParams)`` tuples whose order fixes the canonical
     pipe orientation. Raises a distinct :class:`NetworkValidationError`
     subclass per defect: duplicate ids, unresolved endpoints, self-loops,
-    nonpositive pipe parameters, missing reservoirs or consumers, and
-    disconnectedness.
+    nonpositive or non-finite pipe parameters, missing reservoirs or
+    consumers, and disconnectedness.
     """
     node_objs: list[Node] = []
     seen_nodes: set[str] = set()
@@ -272,9 +290,9 @@ def build_network(nodes: Iterable[NodeSpec], pipes: Iterable[PipeSpec]) -> Netwo
             raise SelfLoopError(f"pipe {pid!r} is a self-loop at {tail!r}")
         for field in ("length", "diameter", "roughness"):
             value = getattr(params, field)
-            if not value > 0:
+            if not (math.isfinite(value) and value > 0):
                 raise NonpositiveParameterError(
-                    f"pipe {pid!r}: {field} must be > 0, got {value!r}"
+                    f"pipe {pid!r}: {field} must be finite and > 0, got {value!r}"
                 )
         pipe_objs.append(Pipe(pid, tail, head, params))
 

@@ -1,11 +1,16 @@
 """End-to-end tests of the command line interface via run_cli."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hydrostate import network_to_json_dict, state_to_json_dict
-from hydrostate.cli import run_cli
+import hydrostate
+from hydrostate import network_to_json_dict, solve_reservoir_heads_demands, state_to_json_dict
+from hydrostate.cli import _emit, run_cli
 from hydrostate.testkit import random_ground_truth_state
 
 SINGLE_PIPE_HEAD = 99.44598382606754  # 100 - 2 * 0.5**1.852, 50-digit evaluation
@@ -187,6 +192,25 @@ class TestSolve:
         assert payload["error"] == "inconsistent_observations"
         assert payload["residual"] > 0
 
+    def test_auto_checks_surplus_flows(self, capsys, tmp_path, triangle_file, triangle_net):
+        # Every flow observed: the forest route completes the state from e1, e2
+        # and must still check the chord e3 against the completed heads.
+        truth = random_ground_truth_state(triangle_net, seed=4)
+        flows = {pid: float(truth.flows[i]) for i, pid in enumerate(triangle_net.pipe_ids)}
+        heads = {"R": float(truth.heads[0])}
+        consistent = write_json(tmp_path / "ok.json", {"heads": heads, "flows": flows})
+        code, payload = invoke(capsys, ["solve", triangle_file, "--obs", consistent])
+        assert code == 0
+        assert payload["theorem"] == "forest_flows"
+        assert payload["state"]["flows"]["e3"] == pytest.approx(flows["e3"], abs=1e-9)
+
+        flows["e3"] += 1e-3
+        contradicted = write_json(tmp_path / "bad.json", {"heads": heads, "flows": flows})
+        code, payload = invoke(capsys, ["solve", triangle_file, "--obs", contradicted])
+        assert code == 2
+        assert payload["error"] == "inconsistent_observations"
+        assert payload["residual"] > 0
+
     def test_non_convergence_exit_3(self, capsys, tmp_path, triangle_file):
         obs = write_json(
             tmp_path / "obs.json",
@@ -230,6 +254,36 @@ class TestSolve:
         )
         assert code == 4
         assert payload["error"] == "missing_observations"
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            {"heads": {"R": 100.0}, "demands": {"c1": float("nan"), "c2": 0.5}},
+            {"heads": {"R": float("inf")}, "demands": {"c1": 0.5, "c2": 0.5}},
+            {"heads": {"R": 100.0}, "flows": {"e1": float("-inf"), "e2": 0.5}},
+        ],
+        ids=["nan_demand", "inf_head", "inf_flow"],
+    )
+    def test_solve_rejects_at_parse(self, capsys, tmp_path, triangle_file, obs):
+        path = write_json(tmp_path / "obs.json", obs)
+        code = run_cli(["solve", triangle_file, "--obs", path])
+        assert code == 65
+        assert capsys.readouterr().out == ""
+
+    def test_check_rejects_non_finite_state(self, capsys, tmp_path, triangle_file, triangle_net):
+        doc = state_to_json_dict(triangle_net, random_ground_truth_state(triangle_net, seed=6))
+        doc["flows"]["e1"] = float("nan")
+        state = write_json(tmp_path / "state.json", doc)
+        code = run_cli(["check", triangle_file, "--state", state])
+        assert code == 65
+        assert capsys.readouterr().out == ""
+
+    def test_emit_refuses_nan(self, capsys):
+        with pytest.raises(ValueError):
+            _emit({"residual": float("nan")})
+        assert capsys.readouterr().out == ""
 
 
 class TestCheck:
@@ -287,3 +341,27 @@ class TestOutputStability:
         path = write_json(tmp_path / "net.json", doc)
         code, _ = invoke(capsys, ["validate", path])
         assert code == 0
+
+
+def test_emit_is_plain_json_dumps(capsys, triangle_net):
+    truth = random_ground_truth_state(triangle_net, seed=9)
+    report = solve_reservoir_heads_demands(
+        triangle_net, truth.reservoir_heads(triangle_net), truth.demands
+    )
+    payload = report.to_json_dict(triangle_net)
+    _emit(payload)
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(hydrostate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, hydrostate.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        check=True,
+    )
+    assert child.stdout.strip() == "[]"

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrostate import (
+    HAZEN_WILLIAMS_EXPONENT,
     CompletionMethod,
     DecompositionMismatchError,
+    FormatError,
+    GeneratorConfig,
     InconsistentObservationsError,
     InvalidObservationError,
     NonConvergenceError,
@@ -14,11 +19,15 @@ from hydrostate import (
     complete_from_forest_flows,
     complete_from_heads,
     complete_from_reservoir_heads_and_flows,
+    head_loss,
+    incidence_matrix,
+    random_connected_wds,
     residuals,
     select_independent_edges,
     solve_reservoir_heads_demands,
 )
-from hydrostate.testkit import random_ground_truth_state
+from hydrostate import completion
+from hydrostate.testkit import MAX_PARALLEL_PIPES, random_ground_truth_state
 
 from conftest import make_random_networks
 
@@ -240,3 +249,143 @@ class TestObservationSet:
         obs = ObservationSet(heads={"R": 100.0}, flows={"P1": 0.5}, demands={"J1": 0.5})
         doc = obs.to_json_dict()
         assert ObservationSet.from_json_dict(doc) == obs
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda net, bad: complete_from_heads(net, np.array([100.0, bad, 98.0])),
+            lambda net, bad: complete_from_reservoir_heads_and_flows(
+                net, np.array([100.0]), np.array([1.0, 0.5, bad])
+            ),
+            lambda net, bad: complete_from_reservoir_heads_and_flows(
+                net, np.array([bad]), np.array([1.0, 0.5, 0.25])
+            ),
+            lambda net, bad: complete_from_forest_flows(
+                net, np.array([100.0]), {"e1": bad, "e2": 0.5}
+            ),
+            lambda net, bad: complete_from_forest_flows(
+                net, np.array([bad]), {"e1": 1.0, "e2": 0.5}
+            ),
+            lambda net, bad: solve_reservoir_heads_demands(
+                net, np.array([100.0]), np.array([0.5, bad])
+            ),
+            lambda net, bad: solve_reservoir_heads_demands(
+                net, np.array([bad]), np.array([0.5, 0.5])
+            ),
+        ],
+        ids=[
+            "all_heads",
+            "heads_flows_flow",
+            "heads_flows_head",
+            "forest_flow",
+            "forest_head",
+            "demand",
+            "demand_driven_head",
+        ],
+    )
+    def test_solvers_reject(self, triangle_net, route, bad):
+        with pytest.raises(InvalidObservationError, match="finite"):
+            route(triangle_net, bad)
+
+    @pytest.mark.parametrize("section", ["heads", "flows", "demands"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "-Infinity"])
+    def test_observation_document_rejects(self, section, bad):
+        with pytest.raises(FormatError, match="non-finite"):
+            ObservationSet.from_json_dict({section: {"x": bad}})
+
+
+# --- the dense Newton step as oracle ------------------------------------------
+
+
+def kkt_step(net, slope, F):
+    """Oracle Newton step: dense LU of the full (p + c) Jacobian ``[[-D, Bc^T], [Bc, 0]]``."""
+    n_p, n_c = net.n_pipes, net.n_consumers
+    Bc = incidence_matrix(net).restrict(nodes=net.consumer_ids).entries.astype(float)
+    jac = np.zeros((n_p + n_c, n_p + n_c))
+    jac[:n_p, :n_p] = -np.diag(slope)
+    jac[:n_p, n_p:] = Bc.T
+    jac[n_p:, :n_p] = Bc
+    step = np.linalg.solve(jac, -F)
+    return step[:n_p], step[n_p:]
+
+
+def dense_residual(net, reservoir_heads, demands, q, consumer_heads):
+    """Energy and mass residuals through the dense incidence matrix."""
+    B = incidence_matrix(net)
+    Bc = B.restrict(nodes=net.consumer_ids).entries.astype(float)
+    Br = B.restrict(nodes=net.reservoir_ids).entries.astype(float)
+    energy = Bc.T @ consumer_heads + Br.T @ reservoir_heads - head_loss(q, net.resistances)
+    return np.concatenate([energy, Bc @ q + demands])
+
+
+def clamped_slope(net, q):
+    eps = SolverOptions().zero_flow_epsilon
+    x = HAZEN_WILLIAMS_EXPONENT
+    return x * net.resistances * np.maximum(np.abs(q), eps) ** (x - 1.0)
+
+
+class TestSchurNewtonStep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_reservoirs=st.integers(1, 3),
+        n_consumers=st.integers(1, 25),
+        extra_edges=st.integers(0, 30),
+        flat=st.booleans(),
+    )
+    def test_matches_kkt_step(self, seed, n_reservoirs, n_consumers, extra_edges, flat):
+        n = n_reservoirs + n_consumers
+        capacity = MAX_PARALLEL_PIPES * (n * (n - 1) // 2) - (n - 1)
+        net = random_connected_wds(
+            GeneratorConfig(seed, n_reservoirs, n_consumers, min(extra_edges, capacity))
+        )
+        rng = np.random.default_rng(seed)
+        h_r = rng.uniform(50.0, 150.0, n_reservoirs)
+        d = rng.uniform(-1.0, 1.0, n_consumers)
+        if flat:
+            # The solver's flat start: every pipe sits at the zero-flow clamp.
+            q = np.zeros(net.n_pipes)
+            h_c = np.full(n_consumers, h_r.mean())
+        else:
+            q = rng.uniform(-2.0, 2.0, net.n_pipes)
+            h_c = rng.uniform(50.0, 150.0, n_consumers)
+        slope = clamped_slope(net, q)
+        F = dense_residual(net, h_r, d, q, h_c)
+
+        Bc = incidence_matrix(net).restrict(nodes=net.consumer_ids).entries.astype(float)
+        np.testing.assert_allclose(
+            completion._head_matrix(net, 1.0 / slope), (Bc / slope) @ Bc.T, rtol=1e-12
+        )
+        for schur, kkt in zip(completion._newton_step(net, slope, F), kkt_step(net, slope, F)):
+            assert np.max(np.abs(schur - kkt)) <= 1e-9 * np.max(np.abs(kkt))
+
+    @pytest.mark.parametrize("strategy", ["linear", "forest", "flat"])
+    def test_iterations_match_kkt_oracle(self, monkeypatch, strategy):
+        nets = make_random_networks(8, seed0=131, max_nodes=30)
+        problems = []
+        for k, net in enumerate(nets):
+            truth = random_ground_truth_state(net, seed=k)
+            problems.append((net, truth.reservoir_heads(net), truth.demands))
+        opts = SolverOptions(initial_strategy=strategy)
+        schur = [solve_reservoir_heads_demands(*p, opts) for p in problems]
+        monkeypatch.setattr(completion, "_newton_step", kkt_step)
+        oracle = [solve_reservoir_heads_demands(*p, opts) for p in problems]
+        for a, b in zip(schur, oracle):
+            assert a.iterations == b.iterations
+            assert np.max(np.abs(a.state.flows - b.state.flows)) <= 1e-9
+            assert np.max(np.abs(a.state.heads - b.state.heads)) <= 1e-9
+
+    def test_linear_start_solves_the_linear_network(self):
+        # With conductance 1/r, the start satisfies mass balance exactly and
+        # the linear energy law q = g * (head drop) on every pipe.
+        for net in make_random_networks(5, seed0=141, max_nodes=30):
+            truth = random_ground_truth_state(net, seed=1)
+            h_r = truth.reservoir_heads(net)
+            q, h_c = completion._initial_point(net, h_r, truth.demands, SolverOptions())
+            F = dense_residual(net, h_r, truth.demands, q, h_c)
+            assert np.max(np.abs(F[net.n_pipes :])) <= 1e-10
+            drops = F[: net.n_pipes] + head_loss(q, net.resistances)
+            assert np.max(np.abs(q - drops / net.resistances)) <= 1e-10

@@ -57,6 +57,16 @@ class TestBuildNetwork:
                 [("p", "R", "c1", bad)],
             )
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["length", "diameter", "roughness"])
+    def test_non_finite_parameter(self, field, value):
+        bad = PipeParams(**{**UNIT.__dict__, field: value})
+        with pytest.raises(NonpositiveParameterError, match="finite and > 0"):
+            build_network(
+                [("R", "reservoir"), ("c1", "consumer")],
+                [("p", "R", "c1", bad)],
+            )
+
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):
             build_network(
