@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Mapping
 
@@ -49,6 +50,11 @@ EXIT_FILE = 65
 
 def _emit(payload: Any) -> None:
     print(json.dumps(payload, indent=2, allow_nan=False))
+
+
+def _finite_or_none(value: float) -> float | None:
+    """``value``, or ``None`` (JSON ``null``) when it overflowed to inf or NaN."""
+    return value if math.isfinite(value) else None
 
 
 def _diag(message: str) -> None:
@@ -237,7 +243,7 @@ def _cmd_solve(args) -> int:
             {
                 "error": "inconsistent_observations",
                 "message": str(exc),
-                "residual": exc.residual,
+                "residual": _finite_or_none(exc.residual),
             }
         )
         return EXIT_INCONSISTENT
@@ -247,7 +253,7 @@ def _cmd_solve(args) -> int:
                 "error": "no_convergence",
                 "message": str(exc),
                 "iterations": exc.iterations,
-                "residual": exc.residual,
+                "residual": _finite_or_none(exc.residual),
             }
         )
         return EXIT_NO_CONVERGENCE

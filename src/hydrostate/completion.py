@@ -11,8 +11,12 @@ Four routes recover a full physically correct state:
   damped Newton iteration on the coupled energy/mass system, whose solution
   exists and is unique. Each step eliminates the flows and solves only the
   symmetric positive definite consumer-head system (the Global Gradient
-  Algorithm of Todini & Pilati), a dense n_c x n_c matrix of 8 * n_c**2
-  bytes assembled from the pipe end indices.
+  Algorithm of Todini & Pilati). Consumers are numbered in reverse
+  Cuthill-McKee order, which makes that matrix banded with a small
+  bandwidth b on mesh-like networks, and a block-tridiagonal elimination
+  solves it in O(n_c * b) memory. The solver uses numpy only:
+  ``import scipy.sparse.linalg`` alone costs about 0.45 s and 32 MB of
+  resident memory, more than a whole solve of a few thousand consumers.
 
 Every route rejects non-finite heads, flows and demands.
 """
@@ -190,24 +194,48 @@ def _pipe_drops(
     return h[net.tail_indices] - h[net.head_indices]
 
 
-def _head_matrix(net: Network, weights: np.ndarray) -> np.ndarray:
-    """Dense ``Bc diag(weights) Bc^T``: one scatter of every pipe's weight into n_c**2 cells.
+def _solve_heads(net: Network, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``Bc diag(weights) Bc^T x = rhs`` for positive pipe weights.
 
     A pipe adds its weight on the diagonal at each consumer end and subtracts
-    it at the two off-diagonal cells when both ends are consumers; reservoir
-    ends contribute nothing.
+    it at the two off-diagonal cells when both ends are consumers; one
+    scatter over :attr:`Network.head_band` fills the blocks of the matrix in
+    reverse Cuthill-McKee order. The matrix is symmetric positive definite,
+    so every Schur complement of the block-tridiagonal elimination is too
+    and pivoting inside each diagonal block suffices. Time is
+    O(n_c * block**2) and memory O(n_c * block).
     """
-    n_c = net.n_consumers
-    position = np.full(net.n_nodes, -1)
-    position[net.consumer_indices] = np.arange(n_c)
-    tails, heads = position[net.tail_indices], position[net.head_indices]
-    inner = (tails >= 0) & (heads >= 0)
-    rows = np.concatenate([tails, heads, tails[inner], heads[inner]])
-    cols = np.concatenate([tails, heads, heads[inner], tails[inner]])
-    values = np.concatenate([weights, weights, -weights[inner], -weights[inner]])
-    keep = rows >= 0
-    flat = np.bincount(rows[keep] * n_c + cols[keep], values[keep], minlength=n_c * n_c)
-    return flat.reshape(n_c, n_c)
+    band = net.head_band
+    s, n = band.block, band.n_blocks
+    values = weights[band.pipes]
+    values[band.n_diagonal :] *= -1.0
+    flat = np.bincount(band.cells, values, minlength=(2 * n - 1) * s * s)
+    flat[band.padding] = 1.0
+    blocks = flat.reshape(2 * n - 1, s, s)
+    diagonal, below = blocks[:n], blocks[n:]
+
+    y = np.zeros(n * s)
+    y[: net.n_consumers] = rhs[band.order]
+    y = y.reshape(n, s)
+    # Forward: S_0 = D_0, then S_{k+1} = D_{k+1} - L_k S_k^-1 L_k^T, carrying
+    # the right-hand side along as one more column.
+    schur = diagonal[0]
+    eliminated = []
+    for k in range(n - 1):
+        lower = below[k]
+        solved = np.linalg.solve(schur, np.column_stack([lower.T, y[k]]))
+        eliminated.append(solved)
+        update = lower @ solved
+        schur = diagonal[k + 1] - update[:, :s]
+        y[k + 1] -= update[:, s]
+    x = np.empty((n, s))
+    x[n - 1] = np.linalg.solve(schur, y[n - 1])
+    for k in range(n - 2, -1, -1):
+        x[k] = eliminated[k][:, s] - eliminated[k][:, :s] @ x[k + 1]
+
+    out = np.empty(net.n_consumers)
+    out[band.order] = x.reshape(-1)[: net.n_consumers]
+    return out
 
 
 def _require_finite(what: str, values: np.ndarray) -> None:
@@ -347,7 +375,7 @@ def _initial_point(
         # every pipe that matters.
         g = 1.0 / net.resistances
         rhs = -demands - consumer_outflow(net, g * _pipe_drops(net, reservoir_heads, 0.0))
-        h_c = np.linalg.solve(_head_matrix(net, g), rhs)
+        h_c = _solve_heads(net, g, rhs)
         q = g * _pipe_drops(net, reservoir_heads, h_c)
         return q, h_c
     if options.initial_strategy == "forest":
@@ -385,7 +413,7 @@ def _newton_step(net: Network, slope: np.ndarray, F: np.ndarray) -> tuple[np.nda
     energy, mass = F[: net.n_pipes], F[net.n_pipes :]
     g = 1.0 / slope
     rhs = -mass - consumer_outflow(net, g * energy)
-    dh = np.linalg.solve(_head_matrix(net, g), rhs)
+    dh = _solve_heads(net, g, rhs)
     dq = g * (_pipe_drops(net, 0.0, dh) + energy)
     return dq, dh
 
@@ -407,8 +435,10 @@ def solve_reservoir_heads_demands(
     is solved by damped Newton iteration on the unknowns ``(q, h_c)``. Each
     step eliminates the flow update and solves the reduced symmetric positive
     definite system ``Bc D^-1 Bc^T dh_c = ...`` over the consumer heads alone
-    (the Global Gradient Algorithm, as in EPANET), where ``D = diag(f'(q))``;
-    the dense n_c x n_c matrix takes 8 * n_c**2 bytes. The head-loss
+    (the Global Gradient Algorithm, as in EPANET), where ``D = diag(f'(q))``.
+    That matrix is factored block by block in the reverse Cuthill-McKee
+    consumer order of :attr:`Network.head_band`, in O(n_c * b) memory for
+    bandwidth b, with numpy alone (see the module docstring). The head-loss
     derivative vanishes at zero flow, so ``D`` clamps ``|q|`` from below by
     ``options.zero_flow_epsilon``; the residual itself always uses the exact
     nonlinearity, so the converged state is unbiased. Raises
@@ -443,7 +473,13 @@ def solve_reservoir_heads_demands(
         if iterations >= opts.max_iterations:
             raise NonConvergenceError(iterations, norm)
         slope = x * r * np.maximum(np.abs(q), opts.zero_flow_epsilon) ** (x - 1.0)
-        dq, dh = _newton_step(net, slope, F)
+        try:
+            dq, dh = _newton_step(net, slope, F)
+        except np.linalg.LinAlgError:
+            # Overflowing input gets here: the slopes are so steep that the
+            # conductances underflow and the head matrix is singular in
+            # floating point.
+            raise NonConvergenceError(iterations, norm) from None
 
         # Halve the step until the residual strictly decreases.
         lam = 1.0

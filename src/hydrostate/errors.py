@@ -59,7 +59,7 @@ class InconsistentObservationsError(HydrostateError):
     def __init__(self, residual: float):
         super().__init__(
             f"observed flows are inconsistent around a cycle "
-            f"(least-squares residual {residual:.6e})"
+            f"(energy-law residual {residual:.6e})"
         )
         self.residual = residual
 

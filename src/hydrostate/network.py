@@ -176,8 +176,138 @@ class Network:
         r.setflags(write=False)
         return r
 
+    @cached_property
+    def head_band(self) -> "HeadBand":
+        """Block-tridiagonal layout of the consumer-head matrix ``Bc diag(w) Bc^T``."""
+        return _head_band(self)
+
     def role_of(self, node_id: str) -> NodeRole:
         return self.nodes[self.node_index[node_id]].role
+
+
+#: Smallest block of :class:`HeadBand`. Each block costs one Python-level
+#: elimination step, so a path-like network (bandwidth 1) still takes blocks
+#: large enough that the per-step overhead stays below the arithmetic.
+_MIN_HEAD_BLOCK = 32
+
+
+@dataclass(frozen=True, eq=False)
+class HeadBand:
+    """Where each pipe's weight lands in the blocks of the consumer-head matrix.
+
+    Consumers are renumbered by ``order`` (reverse Cuthill-McKee over the
+    consumer-consumer pipes), which keeps every such pipe within
+    ``bandwidth`` ranks of the diagonal. With ``block >= bandwidth`` the
+    matrix, padded with an identity to ``n_blocks * block`` rows, is
+    block-tridiagonal in ``block x block`` blocks. They are stored flat:
+    ``n_blocks`` diagonal blocks, then the ``n_blocks - 1`` blocks below the
+    diagonal (block row ``k + 1``, block column ``k``). Entry ``e`` adds
+    ``weight[pipes[e]]`` to cell ``cells[e]``, negated from ``n_diagonal``
+    on; ``padding`` lists the diagonal cells of the identity padding.
+    """
+
+    order: np.ndarray
+    bandwidth: int
+    block: int
+    n_blocks: int
+    pipes: np.ndarray
+    cells: np.ndarray
+    n_diagonal: int
+    padding: np.ndarray
+
+
+def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
+    """Reverse Cuthill-McKee order of a graph given by adjacency lists (sorted in place).
+
+    Each connected component in turn is numbered breadth-first from a
+    pseudo-peripheral node (George & Liu), visiting neighbours by increasing
+    degree; reversing the whole numbering leaves the bandwidth unchanged and
+    reduces fill.
+    """
+    degree = [len(nb) for nb in neighbours]
+    for nb in neighbours:
+        nb.sort(key=lambda v: (degree[v], v))
+
+    def levels(root: int) -> list[list[int]]:
+        seen = {root}
+        out = [[root]]
+        while True:
+            nxt = []
+            for v in out[-1]:
+                for w in neighbours[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            if not nxt:
+                return out
+            out.append(nxt)
+
+    placed = [False] * len(neighbours)
+    order: list[int] = []
+    for start in range(len(neighbours)):
+        if placed[start]:
+            continue
+        root, structure = start, levels(start)
+        while True:
+            candidate = min(structure[-1], key=lambda v: (degree[v], v))
+            deeper = levels(candidate)
+            if len(deeper) <= len(structure):
+                break
+            root, structure = candidate, deeper
+        placed[root] = True
+        component = [root]
+        for v in component:
+            for w in neighbours[v]:
+                if not placed[w]:
+                    placed[w] = True
+                    component.append(w)
+        order.extend(component)
+    order.reverse()
+    return order
+
+
+def _head_band(net: Network) -> HeadBand:
+    n_c = net.n_consumers
+    position = np.full(net.n_nodes, -1)
+    position[net.consumer_indices] = np.arange(n_c)
+    tails, heads = position[net.tail_indices], position[net.head_indices]
+    inner = np.flatnonzero((tails >= 0) & (heads >= 0))
+
+    neighbours: list[set[int]] = [set() for _ in range(n_c)]
+    for a, b in zip(tails[inner].tolist(), heads[inner].tolist()):
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    order = np.array(_reverse_cuthill_mckee([list(nb) for nb in neighbours]), dtype=np.intp)
+    rank = np.empty(n_c, dtype=np.intp)
+    rank[order] = np.arange(n_c)
+
+    inner_ranks = rank[tails[inner]], rank[heads[inner]]
+    lo, hi = np.minimum(*inner_ranks), np.maximum(*inner_ranks)
+    bandwidth = int(np.max(hi - lo, initial=0))
+    s = max(bandwidth, _MIN_HEAD_BLOCK)
+    n_blocks = -(-n_c // s)
+
+    def diagonal_cell(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        return (i // s) * s * s + (i % s) * s + j % s
+
+    end_pipes = np.concatenate([np.flatnonzero(tails >= 0), np.flatnonzero(heads >= 0)])
+    end_ranks = rank[np.concatenate([tails[tails >= 0], heads[heads >= 0]])]
+    same = lo // s == hi // s
+    below = n_blocks * s * s + (lo[~same] // s) * s * s + (hi[~same] % s) * s + lo[~same] % s
+    pipes = np.concatenate([end_pipes, inner[same], inner[same], inner[~same]])
+    cells = np.concatenate(
+        [
+            diagonal_cell(end_ranks, end_ranks),
+            diagonal_cell(lo[same], hi[same]),
+            diagonal_cell(hi[same], lo[same]),
+            below,
+        ]
+    )
+    pad = np.arange(n_c, n_blocks * s)
+    padding = diagonal_cell(pad, pad)
+    for arr in (order, pipes, cells, padding):
+        arr.setflags(write=False)
+    return HeadBand(order, bandwidth, s, n_blocks, pipes, cells, len(end_pipes), padding)
 
 
 @dataclass(frozen=True, eq=False)

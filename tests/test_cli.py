@@ -11,7 +11,7 @@ import pytest
 import hydrostate
 from hydrostate import network_to_json_dict, solve_reservoir_heads_demands, state_to_json_dict
 from hydrostate.cli import _emit, run_cli
-from hydrostate.testkit import random_ground_truth_state
+from hydrostate.testkit import GeneratorConfig, random_connected_wds, random_ground_truth_state
 
 SINGLE_PIPE_HEAD = 99.44598382606754  # 100 - 2 * 0.5**1.852, 50-digit evaluation
 
@@ -210,6 +210,9 @@ class TestSolve:
         assert code == 2
         assert payload["error"] == "inconsistent_observations"
         assert payload["residual"] > 0
+        # The forest route checks the energy law directly; no least squares runs.
+        assert "least-squares" not in payload["message"]
+        assert f"energy-law residual {payload['residual']:.6e}" in payload["message"]
 
     def test_non_convergence_exit_3(self, capsys, tmp_path, triangle_file):
         obs = write_json(
@@ -222,6 +225,23 @@ class TestSolve:
         )
         assert code == 3
         assert payload["error"] == "no_convergence"
+
+    @pytest.mark.parametrize("extra_edges", [0, 1], ids=["tree", "looped"])
+    def test_overflowing_demand_exit_3(self, capsys, tmp_path, extra_edges):
+        # A finite demand of 1e300 overflows the head loss: the residual norm
+        # is inf (looped) or the conductances underflow to a singular head
+        # matrix (tree). Either way the run exits 3 with valid JSON.
+        net = random_connected_wds(GeneratorConfig(1, 1, 3, extra_edges))
+        net_path = write_json(tmp_path / "net.json", network_to_json_dict(net))
+        demands = {nid: 0.1 for nid in net.consumer_ids}
+        demands[net.consumer_ids[0]] = 1e300
+        obs = write_json(tmp_path / "obs.json", {"heads": {"R1": 100.0}, "demands": demands})
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, payload = invoke(capsys, ["solve", net_path, "--obs", obs])
+        assert code == 3
+        assert payload["error"] == "no_convergence"
+        assert payload["iterations"] == 0
+        assert payload["residual"] is None
 
     def test_not_covered_exit_4(self, capsys, tmp_path, triangle_file):
         obs = write_json(tmp_path / "obs.json", {"demands": {"c1": 0.5}})

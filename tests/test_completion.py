@@ -1,5 +1,7 @@
 """Tests for the four state-completion solvers and their round-trip closure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,11 +18,13 @@ from hydrostate import (
     NonConvergenceError,
     ObservationSet,
     SolverOptions,
+    build_network,
     complete_from_forest_flows,
     complete_from_heads,
     complete_from_reservoir_heads_and_flows,
     head_loss,
     incidence_matrix,
+    params_for_resistance,
     random_connected_wds,
     residuals,
     select_independent_edges,
@@ -321,6 +325,21 @@ def dense_residual(net, reservoir_heads, demands, q, consumer_heads):
     return np.concatenate([energy, Bc @ q + demands])
 
 
+def dense_head_matrix(net, weights):
+    """Oracle ``Bc diag(weights) Bc^T``: one scatter of every pipe's weight into n_c**2 cells."""
+    n_c = net.n_consumers
+    position = np.full(net.n_nodes, -1)
+    position[net.consumer_indices] = np.arange(n_c)
+    tails, heads = position[net.tail_indices], position[net.head_indices]
+    inner = (tails >= 0) & (heads >= 0)
+    rows = np.concatenate([tails, heads, tails[inner], heads[inner]])
+    cols = np.concatenate([tails, heads, heads[inner], tails[inner]])
+    values = np.concatenate([weights, weights, -weights[inner], -weights[inner]])
+    keep = rows >= 0
+    flat = np.bincount(rows[keep] * n_c + cols[keep], values[keep], minlength=n_c * n_c)
+    return flat.reshape(n_c, n_c)
+
+
 def clamped_slope(net, q):
     eps = SolverOptions().zero_flow_epsilon
     x = HAZEN_WILLIAMS_EXPONENT
@@ -357,7 +376,7 @@ class TestSchurNewtonStep:
 
         Bc = incidence_matrix(net).restrict(nodes=net.consumer_ids).entries.astype(float)
         np.testing.assert_allclose(
-            completion._head_matrix(net, 1.0 / slope), (Bc / slope) @ Bc.T, rtol=1e-12
+            dense_head_matrix(net, 1.0 / slope), (Bc / slope) @ Bc.T, rtol=1e-12
         )
         for schur, kkt in zip(completion._newton_step(net, slope, F), kkt_step(net, slope, F)):
             assert np.max(np.abs(schur - kkt)) <= 1e-9 * np.max(np.abs(kkt))
@@ -389,3 +408,130 @@ class TestSchurNewtonStep:
             assert np.max(np.abs(F[net.n_pipes :])) <= 1e-10
             drops = F[: net.n_pipes] + head_loss(q, net.resistances)
             assert np.max(np.abs(q - drops / net.resistances)) <= 1e-10
+
+
+# --- the banded head solve against the dense oracle ---------------------------
+
+
+def looped_grid(rows, cols, seed=0, double=False):
+    """Full ``rows x cols`` grid of consumers fed by reservoirs at two opposite corners."""
+    rng = np.random.default_rng(seed)
+    ids = [f"J{k}" for k in range(rows * cols)]
+    edges = [(ids[k], ids[k + 1]) for k in range(rows * cols) if (k + 1) % cols]
+    edges += [(ids[k], ids[k + cols]) for k in range((rows - 1) * cols)]
+    edges += [("R1", ids[0]), ("R2", ids[-1])]
+    edges += edges if double else []
+    pipes = [(f"P{k}", a, b, params_for_resistance(float(r)))
+             for k, ((a, b), r) in enumerate(zip(edges, rng.uniform(0.5, 5.0, len(edges))))]
+    nodes = [("R1", "reservoir"), ("R2", "reservoir")] + [(i, "consumer") for i in ids]
+    return build_network(nodes, pipes)
+
+
+def chain_network(lengths, seed=0):
+    """Reservoirs R0..Rk joined by chains of consumers, one chain of each length between them."""
+    rng = np.random.default_rng(seed)
+    nodes, edges = [("R0", "reservoir")], []
+    for c, length in enumerate(lengths):
+        ids = [f"C{c}_{k}" for k in range(length)]
+        nodes += [(i, "consumer") for i in ids] + [(f"R{c + 1}", "reservoir")]
+        chain = [f"R{c}", *ids, f"R{c + 1}"]
+        edges += list(zip(chain, chain[1:]))
+    pipes = [(f"P{k}", a, b, params_for_resistance(float(r)))
+             for k, ((a, b), r) in enumerate(zip(edges, rng.uniform(0.5, 5.0, len(edges))))]
+    return build_network(nodes, pipes)
+
+
+def assert_band_layout(net):
+    """The order is a permutation and every consumer-consumer pipe stays within one block."""
+    band = net.head_band
+    n_c = net.n_consumers
+    assert sorted(band.order.tolist()) == list(range(n_c))
+    assert band.block >= max(band.bandwidth, 1)
+    assert band.n_blocks * band.block >= n_c > (band.n_blocks - 1) * band.block
+    rank = np.empty(n_c, dtype=int)
+    rank[band.order] = np.arange(n_c)
+    position = np.full(net.n_nodes, -1)
+    position[net.consumer_indices] = np.arange(n_c)
+    tails, heads = position[net.tail_indices], position[net.head_indices]
+    inner = (tails >= 0) & (heads >= 0)
+    a, b = rank[tails[inner]], rank[heads[inner]]
+    assert np.all(np.abs(a - b) <= band.bandwidth)
+    assert np.all(np.abs(a // band.block - b // band.block) <= 1)
+
+
+def assert_matches_dense(net, weights, rhs, rtol):
+    A = dense_head_matrix(net, weights)
+    banded = completion._solve_heads(net, weights, rhs)
+    dense = np.linalg.solve(A, rhs)
+    assert np.max(np.abs(banded - dense)) <= rtol * np.max(np.abs(dense))
+    # Backward error of the banded solve: as small as a dense factorization's.
+    scale = np.max(np.sum(np.abs(A), axis=1)) * np.max(np.abs(banded)) + np.max(np.abs(rhs))
+    assert np.max(np.abs(A @ banded - rhs)) <= 1e-12 * scale
+
+
+class TestBandedHeadSolve:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_reservoirs=st.integers(1, 3),
+        n_consumers=st.integers(1, 150),
+        extra_edges=st.integers(0, 40),
+        clamped=st.floats(0.0, 1.0),
+    )
+    def test_matches_dense_solve(self, seed, n_reservoirs, n_consumers, extra_edges, clamped):
+        n = n_reservoirs + n_consumers
+        capacity = MAX_PARALLEL_PIPES * (n * (n - 1) // 2) - (n - 1)
+        net = random_connected_wds(
+            GeneratorConfig(seed, n_reservoirs, n_consumers, min(extra_edges, capacity))
+        )
+        assert_band_layout(net)
+        rng = np.random.default_rng(seed)
+        weights = 10.0 ** rng.uniform(-6.0, 6.0, net.n_pipes)
+        # A share of the pipes at the zero-flow clamp, as in the Newton step from a flat start.
+        at_clamp = rng.random(net.n_pipes) < clamped
+        weights[at_clamp] = 1.0 / clamped_slope(net, np.zeros(net.n_pipes))[at_clamp]
+        rhs = rng.uniform(-1.0, 1.0, n_consumers)
+        # Weights over 12 decades make A ill-conditioned: any two backward
+        # stable solves then differ by up to cond(A) * eps, the dense one
+        # against itself under a permutation too.
+        cond = np.linalg.cond(dense_head_matrix(net, weights))
+        assert_matches_dense(net, weights, rhs, 1e-9 + cond * np.finfo(float).eps)
+
+    @pytest.mark.parametrize(
+        "build, bandwidth",
+        [
+            (lambda: chain_network([1] * 70), 0),
+            (lambda: chain_network([100]), 1),
+            (lambda: chain_network([40, 1, 57, 3]), 1),
+            (lambda: looped_grid(3, 30, double=True), 4),
+            (lambda: looped_grid(30, 40), 31),
+            (lambda: looped_grid(45, 50), 46),
+        ],
+        ids=["star", "path", "components", "parallel_pipes", "grid", "wide_grid"],
+    )
+    def test_fixed_networks(self, build, bandwidth):
+        net = build()
+        band = net.head_band
+        assert band.bandwidth == bandwidth
+        assert band.n_blocks >= 2
+        assert net.n_consumers % band.block != 0
+        assert_band_layout(net)
+        rng = np.random.default_rng(net.n_consumers)
+        weights = rng.uniform(0.5, 2.0, net.n_pipes)
+        rhs = rng.uniform(-1.0, 1.0, net.n_consumers)
+        assert_matches_dense(net, weights, rhs, 1e-9)
+
+
+def test_demand_driven_scales_without_dense_matrix():
+    # 5000 consumers: a dense head matrix alone would take 8 * n_c**2 = 200 MB.
+    net = looped_grid(50, 100, seed=3)
+    truth = random_ground_truth_state(net, seed=5)
+    tracemalloc.start()
+    try:
+        report = solve_reservoir_heads_demands(net, truth.reservoir_heads(net), truth.demands)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.final_residual.physically_correct(1e-8)
+    assert np.max(np.abs(report.state.heads - truth.heads)) <= 1e-6
+    assert peak < 8 * net.n_consumers**2 / 10
