@@ -31,6 +31,7 @@ from .errors import (
     NonConvergenceError,
     NonpositiveParameterError,
     NoReservoirError,
+    ObservationOverflowError,
     SelfLoopError,
     UnknownNodeError,
 )

@@ -4,7 +4,9 @@ Subcommands: validate, analyze, solve, check, generate. Standard output is
 always a single JSON document (or empty on usage/file errors); diagnostics go
 to standard error. Exit codes: 0 success, 1 failed validation/check, 2
 inconsistent observations, 3 no convergence, 4 pattern not covered, 64 usage
-error, 65 file or parse error.
+error, 65 file or parse error. ``solve`` also exits 65, like a non-finite
+value in the observation file, when a finite observed flow is so large that
+its head loss overflows.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .completion import (
     complete_from_forest_flows,
     complete_from_heads,
     complete_from_reservoir_heads_and_flows,
+    observed_head_loss,
     solve_reservoir_heads_demands,
 )
 from .errors import (
@@ -32,8 +35,9 @@ from .errors import (
     InvalidObservationError,
     NetworkValidationError,
     NonConvergenceError,
+    ObservationOverflowError,
 )
-from .hydraulics import SOLVER_TOLERANCE, head_loss, residuals, state_from_json_dict
+from .hydraulics import SOLVER_TOLERANCE, residuals, state_from_json_dict
 from .network import Network, network_from_json_dict, network_to_json_dict
 from .observability import Verdict, classify_observation_pattern
 from .structure import DEFAULT_IMAGE_TOL, EdgeDecomposition, greedy_independent_columns
@@ -179,6 +183,7 @@ def _cmd_solve(args) -> int:
     options = SolverOptions(max_iterations=args.max_iter, tolerance=solver_tol)
 
     theorem = args.theorem
+    verdict = None
     if theorem == "auto":
         verdict = classify_observation_pattern(net, obs)
         if verdict.verdict is Verdict.DETERMINED_ALL_HEADS:
@@ -202,7 +207,11 @@ def _cmd_solve(args) -> int:
             )
         elif theorem == "forest-flows":
             observed = tuple(pid for pid in net.pipe_ids if pid in obs.flows)
-            independent = greedy_independent_columns(net, observed)
+            independent = (
+                greedy_independent_columns(net, observed)
+                if verdict is None
+                else tuple(verdict.detail["independent_flows"])
+            )
             if len(independent) < net.n_consumers:
                 _emit(
                     {
@@ -230,6 +239,9 @@ def _cmd_solve(args) -> int:
             )
         else:
             raise AssertionError(theorem)
+    except ObservationOverflowError as exc:
+        _diag(str(exc))
+        return EXIT_FILE
     except InvalidObservationError as exc:
         _emit(
             {
@@ -270,11 +282,13 @@ def _check_surplus_flows(
     Each flow must satisfy the energy law ``h_tail - h_head = f(q)`` on its
     pipe. As in :func:`~hydrostate.structure.image_membership`, the largest
     residual is taken relative to the largest entry of the target
-    ``f(q) - Br^T h_r``, and never relative to less than 1.
+    ``f(q) - Br^T h_r``, and never relative to less than 1. A flow whose
+    head loss overflows raises :class:`ObservationOverflowError` instead,
+    since no residual can be measured against it.
     """
     pipes = np.array([net.pipe_index[pid] for pid in flows])
     tails, ends = net.tail_indices[pipes], net.head_indices[pipes]
-    loss = head_loss(np.array(list(flows.values())), net.resistances[pipes])
+    loss = observed_head_loss(net, pipes, np.array(list(flows.values())))
     reservoir = np.zeros(net.n_nodes)
     reservoir[net.reservoir_indices] = heads[net.reservoir_indices]
     target = loss - (reservoir[tails] - reservoir[ends])

@@ -37,6 +37,7 @@ from .errors import (
     InconsistentObservationsError,
     InvalidObservationError,
     NonConvergenceError,
+    ObservationOverflowError,
 )
 from .hydraulics import (
     HAZEN_WILLIAMS_EXPONENT,
@@ -243,6 +244,21 @@ def _require_finite(what: str, values: np.ndarray) -> None:
         raise InvalidObservationError(f"{what} must be finite")
 
 
+def observed_head_loss(net: Network, pipes: np.ndarray, flows: np.ndarray) -> np.ndarray:
+    """Head loss of the observed ``flows`` on the pipes with indices ``pipes``.
+
+    Raises :class:`ObservationOverflowError` naming the first pipe whose
+    finite flow has a head loss that overflows to inf.
+    """
+    with np.errstate(over="ignore"):
+        loss = head_loss(flows, net.resistances[pipes])
+    overflow = np.flatnonzero(~np.isfinite(loss))
+    if overflow.size:
+        pid = net.pipe_ids[pipes[overflow[0]]]
+        raise ObservationOverflowError(f"observed flow on pipe {pid!r} overflows its head loss")
+    return loss
+
+
 def _warn_negative_heads(consumer_heads: np.ndarray) -> None:
     # Heads are physically nonnegative, but the equations are solvable over
     # all reals; a negative computed head flags implausible inputs, it does
@@ -284,7 +300,9 @@ def complete_from_reservoir_heads_and_flows(
     pipe; on cyclic networks that system is overdetermined, so arbitrary flow
     vectors may admit no solution. Raises
     :class:`InconsistentObservationsError` when the least-squares test
-    rejects the observations.
+    rejects the observations, and :class:`ObservationOverflowError` when the
+    head loss of an observed flow, or a head summed from such losses,
+    overflows.
     """
     h_r = np.asarray(reservoir_heads, dtype=float)
     q = np.asarray(flows, dtype=float)
@@ -294,8 +312,10 @@ def complete_from_reservoir_heads_and_flows(
         raise ValueError(f"need one flow per pipe ({net.n_pipes})")
     _require_finite("reservoir heads", h_r)
     _require_finite("flows", q)
-    target = head_loss(q, net.resistances) - _pipe_drops(net, h_r, 0.0)
+    target = observed_head_loss(net, np.arange(net.n_pipes), q) - _pipe_drops(net, h_r, 0.0)
     membership = image_membership(net, target, tol)
+    if not math.isfinite(membership.residual):
+        raise ObservationOverflowError("observed flows overflow the consumer heads")
     if not membership.member:
         raise InconsistentObservationsError(membership.residual)
     _warn_negative_heads(membership.consumer_heads)
@@ -330,7 +350,9 @@ def complete_from_forest_flows(
 
     ``forest_flows`` must be keyed exactly by ``decomposition.independent``.
     Consumer heads come from the invertible forest system, the chord flows
-    from inverting their head drops, the demands from mass balance.
+    from inverting their head drops, the demands from mass balance. Raises
+    :class:`ObservationOverflowError` when the head loss of a forest flow, or
+    a head summed from such losses, overflows.
     """
     dec = decomposition if decomposition is not None else select_independent_edges(net)
     if set(forest_flows) != set(dec.independent):
@@ -344,8 +366,9 @@ def complete_from_forest_flows(
     q_forest = np.array([float(forest_flows[pid]) for pid in dec.independent])
     _require_finite("reservoir heads", h_r)
     _require_finite("forest flows", q_forest)
+    forest = np.array([net.pipe_index[pid] for pid in dec.independent], dtype=np.intp)
+    observed_head_loss(net, forest, q_forest)
     h_c = _forest_consumer_heads(net, dec, h_r, q_forest)
-    _warn_negative_heads(h_c)
     h = _assemble_heads(net, h_r, h_c)
 
     q = np.empty(net.n_pipes)
@@ -357,6 +380,11 @@ def complete_from_forest_flows(
         q[j] = invert_head_loss(drop, net.resistances[j])
 
     d = demands_from_flows(net, q)
+    # Head losses that are finite one by one can still overflow when summed
+    # along a path; report that as an overflow, never as a state with NaN.
+    if not all(np.all(np.isfinite(v)) for v in (h, q, d)):
+        raise ObservationOverflowError("observed forest flows overflow the completed state")
+    _warn_negative_heads(h_c)
     state = HydraulicState(h, q, d)
     return SolveReport(state, 0, residuals(net, state), CompletionMethod.FOREST_FLOWS)
 

@@ -49,6 +49,10 @@ class InvalidObservationError(HydrostateError):
     """Observation keys do not resolve against the network, or values are not finite."""
 
 
+class ObservationOverflowError(InvalidObservationError):
+    """A finite observed flow overflows the energy law: its head loss is not finite."""
+
+
 class DecompositionMismatchError(HydrostateError):
     """Supplied flows are not keyed by the decomposition's independent edges."""
 

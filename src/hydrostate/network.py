@@ -435,25 +435,33 @@ def build_network(nodes: Iterable[NodeSpec], pipes: Iterable[PipeSpec]) -> Netwo
     return net
 
 
+def join_sets(parent: list[int], a: int, b: int) -> bool:
+    """Union-find step: merge the sets holding ``a`` and ``b`` (Tarjan 1975).
+
+    ``parent`` starts as ``list(range(n))`` and is updated in place, with path
+    halving. Returns False when ``a`` and ``b`` were already in one set.
+    """
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    while parent[b] != b:
+        parent[b] = parent[parent[b]]
+        b = parent[b]
+    if a == b:
+        return False
+    parent[a] = b
+    return True
+
+
 def _check_connected(net: Network) -> None:
-    # Union-find over the undirected pipe graph.
     parent = list(range(net.n_nodes))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for pipe in net.pipes:
-        a = find(net.node_index[pipe.tail])
-        b = find(net.node_index[pipe.head])
-        if a != b:
-            parent[a] = b
-    roots = {find(i) for i in range(net.n_nodes)}
-    if len(roots) != 1:
+    joins = sum(
+        join_sets(parent, t, h)
+        for t, h in zip(net.tail_indices.tolist(), net.head_indices.tolist())
+    )
+    if net.n_nodes - joins != 1:
         raise DisconnectedNetworkError(
-            f"network is not connected ({len(roots)} components)"
+            f"network is not connected ({net.n_nodes - joins} components)"
         )
 
 

@@ -1,9 +1,10 @@
 """Classify observation patterns by which guarantee covers them.
 
 The classifier is purely structural: it looks at which ids are observed and
-at column ranks, never at the observed values. Value-dependent solvability
-(the full-flows route needs the observations to be mutually consistent) is
-reported as a proviso, not decided here.
+at column ranks (one union-find scan of the observed pipes), never at the
+observed values. Value-dependent solvability (the full-flows route needs the
+observations to be mutually consistent) is reported as a proviso, not
+decided here.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .completion import ObservationSet
 from .network import Network
-from .structure import flow_pattern_rank, greedy_independent_columns
+from .structure import greedy_independent_columns
 
 
 class Verdict(enum.Enum):
@@ -79,9 +80,9 @@ def classify_observation_pattern(net: Network, pattern: ObservationSet) -> Obser
             )
 
         observed_flows = tuple(pid for pid in net.pipe_ids if pid in pattern.flows)
-        rank = flow_pattern_rank(net, observed_flows)
+        independent = greedy_independent_columns(net, observed_flows)
+        rank = len(independent)
         if rank == n_c:
-            independent = greedy_independent_columns(net, observed_flows)
             return ObservabilityVerdict(
                 Verdict.DETERMINED_FOREST_FLOWS,
                 "the observed flows span a forest reaching every consumer; "

@@ -3,21 +3,26 @@
 Everything here rests on one fact: restricting the incidence matrix to any
 proper nonempty node subset S leaves |S| linearly independent rows, so the
 consumer rows always have full rank and admit an invertible square column
-selection. Ranks and determinants are computed in exact integer arithmetic;
-incidence matrices are totally unimodular, so fraction-free elimination keeps
-every intermediate entry in {-1, 0, +1} and needs no floating tolerance.
+selection. The consumer rows are the reduced incidence matrix of the graph
+with every reservoir merged into one ground node, so a set of pipe columns is
+independent exactly when those pipes form a forest in that grounded graph.
+Forest selection and flow-pattern ranks are therefore one union-find pass
+over the pipes. Exact integer elimination remains for :func:`submatrix_rank`,
+for determinants and as the test oracle: incidence matrices are totally
+unimodular, so fraction-free elimination keeps every intermediate entry in
+{-1, 0, +1} and needs no floating tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptySubsetError, UnknownNodeError
-from .network import IncidenceMatrix, Network, incidence_matrix
+from .network import IncidenceMatrix, Network, incidence_matrix, join_sets
 
 #: Default relative tolerance of the image-membership test.
 DEFAULT_IMAGE_TOL = 1e-9
@@ -106,39 +111,53 @@ class EdgeDecomposition:
     dependent: tuple[str, ...]
 
 
+def _forest_scan(net: Network, pipe_ids: Iterable[str]) -> tuple[str, ...]:
+    """The pipes of ``pipe_ids`` that join two components, in the order given.
+
+    One union-find pass over the graph with every reservoir grounded into one
+    node. A pipe's consumer-row column is independent of the columns kept
+    before it exactly when the pipe joins two components, so this is the
+    greedy rank scan without elimination.
+    """
+    index = net.pipe_index
+    tails, heads = net.tail_indices.tolist(), net.head_indices.tolist()
+    parent = list(range(net.n_nodes))
+    ground = int(net.reservoir_indices[0])
+    for r in net.reservoir_indices.tolist():
+        parent[r] = ground
+    kept = []
+    for pid in pipe_ids:
+        j = index.get(pid)
+        if j is None:
+            raise UnknownNodeError(f"unknown pipe id: {pid!r}")
+        if join_sets(parent, tails[j], heads[j]):
+            kept.append(pid)
+    return tuple(kept)
+
+
 def greedy_independent_columns(net: Network, candidates: Sequence[str]) -> tuple[str, ...]:
     """Greedy maximal subset of ``candidates`` with independent consumer-row columns.
 
-    Scans candidates in canonical pipe order and keeps a column exactly when
-    it increases the rank of the accumulated consumer-row submatrix.
+    Scans candidates in canonical pipe order and keeps a pipe exactly when it
+    raises the rank of the consumer-row columns kept so far, that is, when it
+    joins two components of the graph with its reservoirs grounded. This is
+    one union-find pass; by the matroid greedy argument it keeps the same
+    pipes as a scan by exact rank.
     """
-    B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids)
     candidate_set = set(candidates)
-    unknown = candidate_set - set(net.pipe_ids)
+    unknown = [pid for pid in candidate_set if pid not in net.pipe_index]
     if unknown:
         raise UnknownNodeError(f"unknown pipe id: {sorted(unknown)[0]!r}")
-    ordered = [pid for pid in net.pipe_ids if pid in candidate_set]
-
-    chosen: list[str] = []
-    rank = 0
-    for pid in ordered:
-        trial = chosen + [pid]
-        trial_rank = integer_rank(B_vc.restrict(pipes=trial).entries)
-        if trial_rank > rank:
-            chosen.append(pid)
-            rank = trial_rank
-            if rank == net.n_consumers:
-                break
-    return tuple(chosen)
+    return _forest_scan(net, (pid for pid in net.pipe_ids if pid in candidate_set))
 
 
 def flow_pattern_rank(net: Network, pipe_ids: Sequence[str]) -> int:
-    """Rank of the consumer-row incidence columns indexed by ``pipe_ids``."""
-    ids = tuple(dict.fromkeys(pipe_ids))
-    if not ids:
-        return 0
-    B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids, pipes=ids)
-    return integer_rank(B_vc.entries)
+    """Rank of the consumer-row incidence columns indexed by ``pipe_ids``.
+
+    That is the size of a spanning forest of those pipes in the graph with
+    its reservoirs grounded, found by one union-find pass.
+    """
+    return len(_forest_scan(net, pipe_ids))
 
 
 def select_independent_edges(net: Network) -> EdgeDecomposition:

@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny hand-checkable networks and graph helpers."""
+"""Shared fixtures: tiny hand-checkable networks, network builders and graph helpers."""
 
 import numpy as np
 import pytest
@@ -25,6 +25,16 @@ def path_net() -> Network:
             ("e1", "R", "c1", params_for_resistance(1.0)),
             ("e2", "c1", "c2", params_for_resistance(1.0)),
         ],
+    )
+
+
+@pytest.fixture
+def path3_net():
+    """Series line R1 -> J1 -> J2 -> J3, every pipe with resistance 1."""
+    r = params_for_resistance(1.0)
+    return build_network(
+        [("R1", "reservoir"), ("J1", "consumer"), ("J2", "consumer"), ("J3", "consumer")],
+        [("P1", "R1", "J1", r), ("P2", "J1", "J2", r), ("P3", "J2", "J3", r)],
     )
 
 
@@ -72,6 +82,20 @@ def make_random_networks(count: int, seed0: int = 0, max_nodes: int = 40) -> lis
         )
         nets.append(random_connected_wds(cfg))
     return nets
+
+
+def looped_grid(rows, cols, seed=0, double=False):
+    """Full ``rows x cols`` grid of consumers fed by reservoirs at two opposite corners."""
+    rng = np.random.default_rng(seed)
+    ids = [f"J{k}" for k in range(rows * cols)]
+    edges = [(ids[k], ids[k + 1]) for k in range(rows * cols) if (k + 1) % cols]
+    edges += [(ids[k], ids[k + cols]) for k in range((rows - 1) * cols)]
+    edges += [("R1", ids[0]), ("R2", ids[-1])]
+    edges += edges if double else []
+    pipes = [(f"P{k}", a, b, params_for_resistance(float(r)))
+             for k, ((a, b), r) in enumerate(zip(edges, rng.uniform(0.5, 5.0, len(edges))))]
+    nodes = [("R1", "reservoir"), ("R2", "reservoir")] + [(i, "consumer") for i in ids]
+    return build_network(nodes, pipes)
 
 
 def undirected_components(net: Network, pipe_ids) -> list[int]:

@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 import hydrostate
-from hydrostate import network_to_json_dict, solve_reservoir_heads_demands, state_to_json_dict
+from hydrostate import (
+    cli,
+    network_to_json_dict,
+    observability,
+    solve_reservoir_heads_demands,
+    state_to_json_dict,
+    structure,
+)
 from hydrostate.cli import _emit, run_cli
 from hydrostate.testkit import GeneratorConfig, random_connected_wds, random_ground_truth_state
 
@@ -178,6 +185,31 @@ class TestSolve:
         assert payload["theorem"] == "forest_flows"
         assert payload["state"]["heads"]["c1"] == pytest.approx(truth.heads[1], abs=1e-9)
 
+    @pytest.mark.parametrize("theorem", ["auto", "forest-flows"])
+    def test_forest_route_scans_once(
+        self, monkeypatch, capsys, tmp_path, triangle_file, triangle_net, theorem
+    ):
+        # With ``auto`` the forest comes from the verdict, not a second scan.
+        calls = []
+
+        def counted(net, candidates):
+            calls.append(tuple(candidates))
+            return structure.greedy_independent_columns(net, candidates)
+
+        monkeypatch.setattr(cli, "greedy_independent_columns", counted)
+        monkeypatch.setattr(observability, "greedy_independent_columns", counted)
+        truth = random_ground_truth_state(triangle_net, seed=3)
+        flows = {pid: float(truth.flows[i]) for i, pid in enumerate(triangle_net.pipe_ids)}
+        obs = write_json(
+            tmp_path / "obs.json", {"heads": {"R": float(truth.heads[0])}, "flows": flows}
+        )
+        code, payload = invoke(
+            capsys, ["solve", triangle_file, "--obs", obs, "--theorem", theorem]
+        )
+        assert code == 0
+        assert payload["theorem"] == "forest_flows"
+        assert len(calls) == 1
+
     def test_inconsistent_flows_exit_2(self, capsys, tmp_path, triangle_file, triangle_net):
         truth = random_ground_truth_state(triangle_net, seed=4)
         flows = {pid: float(truth.flows[i]) for i, pid in enumerate(triangle_net.pipe_ids)}
@@ -291,6 +323,48 @@ class TestNonFiniteInput:
         code = run_cli(["solve", triangle_file, "--obs", path])
         assert code == 65
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("theorem", ["auto", "forest-flows", "heads-flows"])
+    def test_overflowing_flow_exit_65(self, capsys, tmp_path, path3_net, theorem):
+        # 1e300 is finite, but its head loss is not: reported like a
+        # non-finite value in the file, not as NaN heads or a cycle residual.
+        net_path = write_json(tmp_path / "net.json", network_to_json_dict(path3_net))
+        obs = write_json(
+            tmp_path / "obs.json",
+            {"heads": {"R1": 100}, "flows": {"P1": 1e300, "P2": 0.01, "P3": 0.01}},
+        )
+        code = run_cli(["solve", net_path, "--obs", obs, "--theorem", theorem])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "pipe 'P1' overflows its head loss" in captured.err
+
+    def test_overflowing_surplus_flow_exit_65(self, capsys, tmp_path, triangle_file):
+        # The chord e3 is checked, not used, on the forest route; its overflow
+        # must not pass that check unnoticed.
+        obs = write_json(
+            tmp_path / "obs.json",
+            {"heads": {"R": 100.0}, "flows": {"e1": 0.5, "e2": 0.5, "e3": 1e300}},
+        )
+        code = run_cli(["solve", triangle_file, "--obs", obs])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "pipe 'e3' overflows its head loss" in captured.err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("theorem", ["auto", "heads-flows"])
+    def test_overflowing_head_sum_exit_65(self, capsys, tmp_path, path3_net, theorem):
+        net_path = write_json(tmp_path / "net.json", network_to_json_dict(path3_net))
+        q = (1e308 / path3_net.resistances[0]) ** (1 / hydrostate.HAZEN_WILLIAMS_EXPONENT)
+        obs = write_json(
+            tmp_path / "obs.json", {"heads": {"R1": 100}, "flows": {"P1": q, "P2": q, "P3": 0.01}}
+        )
+        code = run_cli(["solve", net_path, "--obs", obs, "--theorem", theorem])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "overflow the" in captured.err
 
     def test_check_rejects_non_finite_state(self, capsys, tmp_path, triangle_file, triangle_net):
         doc = state_to_json_dict(triangle_net, random_ground_truth_state(triangle_net, seed=6))

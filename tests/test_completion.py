@@ -16,6 +16,7 @@ from hydrostate import (
     InconsistentObservationsError,
     InvalidObservationError,
     NonConvergenceError,
+    ObservationOverflowError,
     ObservationSet,
     SolverOptions,
     build_network,
@@ -33,7 +34,7 @@ from hydrostate import (
 from hydrostate import completion
 from hydrostate.testkit import MAX_PARALLEL_PIPES, random_ground_truth_state
 
-from conftest import make_random_networks
+from conftest import looped_grid, make_random_networks
 
 # 50-digit evaluations of the Hazen-Williams references used below:
 #   0.5**1.852            = 0.27700808696623150
@@ -227,6 +228,40 @@ def test_negative_computed_heads_warn_but_solve(single_pipe_net):
     assert report.state.consumer_heads(single_pipe_net)[0] < 0
 
 
+class TestOverflowingFlows:
+    """A finite flow whose head loss overflows is rejected, never completed to NaN heads."""
+
+    def test_forest_route_names_the_pipe(self, path3_net):
+        flows = {"P1": 1e300, "P2": 0.01, "P3": 0.01}
+        with pytest.raises(ObservationOverflowError, match="'P1'"):
+            complete_from_forest_flows(path3_net, np.array([100.0]), flows)
+
+    def test_heads_flows_route_names_the_pipe(self, path3_net):
+        # A tree has no cycle, so this must not read as an inconsistency.
+        with pytest.raises(ObservationOverflowError, match="'P1'"):
+            complete_from_reservoir_heads_and_flows(
+                path3_net, np.array([100.0]), np.array([1e300, 0.01, 0.01])
+            )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("route", ["forest", "heads_flows"])
+    def test_summed_head_losses_overflow(self, path3_net, route):
+        # Each head loss is about 1e308, finite; their sum along the path is not.
+        q = (1e308 / path3_net.resistances[0]) ** (1 / HAZEN_WILLIAMS_EXPONENT)
+        flows = np.array([q, q, 0.01])
+        assert np.all(np.isfinite(head_loss(flows, path3_net.resistances)))
+        with pytest.raises(ObservationOverflowError, match="overflow"):
+            if route == "forest":
+                complete_from_forest_flows(
+                    path3_net, np.array([100.0]), dict(zip(path3_net.pipe_ids, flows))
+                )
+            else:
+                complete_from_reservoir_heads_and_flows(path3_net, np.array([100.0]), flows)
+
+    def test_is_an_invalid_observation(self):
+        assert issubclass(ObservationOverflowError, InvalidObservationError)
+
+
 class TestObservationSet:
     def test_validate_unknown_node(self, triangle_net):
         with pytest.raises(InvalidObservationError):
@@ -411,20 +446,6 @@ class TestSchurNewtonStep:
 
 
 # --- the banded head solve against the dense oracle ---------------------------
-
-
-def looped_grid(rows, cols, seed=0, double=False):
-    """Full ``rows x cols`` grid of consumers fed by reservoirs at two opposite corners."""
-    rng = np.random.default_rng(seed)
-    ids = [f"J{k}" for k in range(rows * cols)]
-    edges = [(ids[k], ids[k + 1]) for k in range(rows * cols) if (k + 1) % cols]
-    edges += [(ids[k], ids[k + cols]) for k in range((rows - 1) * cols)]
-    edges += [("R1", ids[0]), ("R2", ids[-1])]
-    edges += edges if double else []
-    pipes = [(f"P{k}", a, b, params_for_resistance(float(r)))
-             for k, ((a, b), r) in enumerate(zip(edges, rng.uniform(0.5, 5.0, len(edges))))]
-    nodes = [("R1", "reservoir"), ("R2", "reservoir")] + [(i, "consumer") for i in ids]
-    return build_network(nodes, pipes)
 
 
 def chain_network(lengths, seed=0):

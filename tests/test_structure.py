@@ -1,16 +1,23 @@
 """Tests for ranks, forest/chord decomposition, cycle space and image membership."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrostate import (
+    EdgeDecomposition,
     EmptySubsetError,
+    GeneratorConfig,
     UnknownNodeError,
     build_network,
     cycle_space_basis,
     image_membership,
     incidence_matrix,
     params_for_resistance,
+    random_connected_wds,
     select_independent_edges,
     submatrix_rank,
 )
@@ -20,8 +27,14 @@ from hydrostate.structure import (
     integer_determinant,
     integer_rank,
 )
+from hydrostate.testkit import MAX_PARALLEL_PIPES
 
-from conftest import edge_subset_is_forest, make_random_networks, undirected_components
+from conftest import (
+    edge_subset_is_forest,
+    looped_grid,
+    make_random_networks,
+    undirected_components,
+)
 
 
 class TestSubmatrixRank:
@@ -205,3 +218,114 @@ class TestPatternHelpers:
     def test_greedy_restricted_to_candidates(self, triangle_net):
         assert greedy_independent_columns(triangle_net, ("e2", "e3")) == ("e2", "e3")
         assert greedy_independent_columns(triangle_net, ("e3",)) == ("e3",)
+
+
+# --- the union-find forest scan against the exact-rank oracle -----------------
+
+
+def rank_greedy_oracle(net, candidates):
+    """Greedy scan by exact rank: keep a pipe when it raises the integer rank.
+
+    The consumer-row columns are re-eliminated for every candidate, O(n^4)
+    overall; the union-find scan must keep exactly the same pipes.
+    """
+    B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids)
+    candidate_set = set(candidates)
+    chosen: list[str] = []
+    rank = 0
+    for pid in (p for p in net.pipe_ids if p in candidate_set):
+        trial_rank = integer_rank(B_vc.restrict(pipes=chosen + [pid]).entries)
+        if trial_rank > rank:
+            chosen.append(pid)
+            rank = trial_rank
+            if rank == net.n_consumers:
+                break
+    return tuple(chosen)
+
+
+@st.composite
+def shuffled_networks(draw):
+    """Random networks with 1-3 reservoirs, parallel and reservoir-reservoir pipes.
+
+    The generator lists its spanning-tree pipes first; the pipes are rebuilt
+    in a random order so that the canonical scan order is arbitrary too.
+    """
+    n_reservoirs, n_consumers = draw(st.integers(1, 3)), draw(st.integers(1, 30))
+    n = n_reservoirs + n_consumers
+    capacity = MAX_PARALLEL_PIPES * (n * (n - 1) // 2) - (n - 1)
+    extra = draw(st.integers(0, min(2 * n, capacity)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    net = random_connected_wds(GeneratorConfig(seed, n_reservoirs, n_consumers, extra))
+    order = draw(st.permutations(range(net.n_pipes)))
+    pipes = [(p.id, p.tail, p.head, p.params) for p in (net.pipes[k] for k in order)]
+    return build_network([(node.id, node.role) for node in net.nodes], pipes)
+
+
+class TestForestScan:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_integer_rank_oracle(self, data):
+        net = data.draw(shuffled_networks())
+        # Random subsets in random order, with repeated ids.
+        candidates = data.draw(st.lists(st.sampled_from(net.pipe_ids), max_size=2 * net.n_pipes))
+        assert greedy_independent_columns(net, candidates) == rank_greedy_oracle(net, candidates)
+        B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids)
+        assert flow_pattern_rank(net, candidates) == integer_rank(
+            B_vc.restrict(pipes=candidates).entries
+        )
+        independent = rank_greedy_oracle(net, net.pipe_ids)
+        dependent = tuple(pid for pid in net.pipe_ids if pid not in independent)
+        assert select_independent_edges(net) == EdgeDecomposition(independent, dependent)
+
+    def test_reservoir_pipe_is_always_dependent(self):
+        r = params_for_resistance(1.0)
+        net = build_network(
+            [("R1", "reservoir"), ("R2", "reservoir"), ("c1", "consumer")],
+            [("rr", "R1", "R2", r), ("a", "R1", "c1", r), ("b", "c1", "R2", r)],
+        )
+        assert select_independent_edges(net) == EdgeDecomposition(("a",), ("rr", "b"))
+        assert greedy_independent_columns(net, ("rr",)) == ()
+        assert greedy_independent_columns(net, ("b", "rr")) == ("b",)
+        assert flow_pattern_rank(net, ("rr",)) == 0
+
+    def test_pipe_parallel_to_forest_pipe(self, parallel_triangle_net):
+        net = parallel_triangle_net
+        assert select_independent_edges(net) == EdgeDecomposition(("e1", "e2"), ("e1p", "e3"))
+        assert greedy_independent_columns(net, ("e1p", "e1")) == ("e1",)
+        assert greedy_independent_columns(net, ("e3", "e1p")) == ("e1p", "e3")
+        assert flow_pattern_rank(net, ("e1p", "e1")) == 1
+        assert flow_pattern_rank(net, ("e1p", "e1", "e3")) == 2
+
+    def test_empty_candidate_set(self, triangle_net):
+        assert greedy_independent_columns(triangle_net, ()) == ()
+        assert flow_pattern_rank(triangle_net, []) == 0
+
+    @pytest.mark.parametrize("candidates", [("nope",), ("e1", "nope", "e2")])
+    def test_unknown_pipe_id(self, triangle_net, candidates):
+        with pytest.raises(UnknownNodeError, match="nope"):
+            greedy_independent_columns(triangle_net, candidates)
+        with pytest.raises(UnknownNodeError, match="nope"):
+            flow_pattern_rank(triangle_net, candidates)
+
+
+def test_spanning_forest_of_a_large_grid():
+    # 10^4 consumers, far beyond what the exact-rank scan can reach.
+    net = looped_grid(100, 100, seed=1)
+    dec = select_independent_edges(net)
+    assert len(dec.independent) == net.n_consumers
+    # Independent check: n_c pipes that connect every consumer to the grounded
+    # reservoirs form a spanning tree of the grounded graph (n_c + 1 nodes).
+    neighbours: list[list[int]] = [[] for _ in range(net.n_nodes)]
+    for pid in dec.independent:
+        j = net.pipe_index[pid]
+        tail, head = int(net.tail_indices[j]), int(net.head_indices[j])
+        neighbours[tail].append(head)
+        neighbours[head].append(tail)
+    reached = set(net.reservoir_indices.tolist())
+    queue = deque(reached)
+    while queue:
+        for k in neighbours[queue.popleft()]:
+            if k not in reached:
+                reached.add(k)
+                queue.append(k)
+    assert reached >= set(net.consumer_indices.tolist())
