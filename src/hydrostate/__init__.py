@@ -26,11 +26,13 @@ from .errors import (
     InconsistentObservationsError,
     InfeasibleConfigError,
     InvalidObservationError,
+    MissingObservationError,
     NetworkValidationError,
     NoConsumerError,
     NonConvergenceError,
     NonpositiveParameterError,
     NoReservoirError,
+    NotCoveredError,
     ObservationOverflowError,
     SelfLoopError,
     UnknownNodeError,
@@ -59,7 +61,7 @@ from .network import (
     network_to_json_dict,
     resistance,
 )
-from .observability import ObservabilityVerdict, Verdict, classify_observation_pattern
+from .observability import ObservabilityVerdict, Verdict, classify_observation_pattern, complete
 from .structure import (
     CycleBasis,
     EdgeDecomposition,

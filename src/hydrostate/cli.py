@@ -15,32 +15,22 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Mapping
+from typing import Any
 
-import numpy as np
-
-from .completion import (
-    ObservationSet,
-    SolverOptions,
-    complete_from_forest_flows,
-    complete_from_heads,
-    complete_from_reservoir_heads_and_flows,
-    observed_head_loss,
-    solve_reservoir_heads_demands,
-)
+from .completion import CompletionMethod, ObservationSet
 from .errors import (
     FormatError,
     InconsistentObservationsError,
     InfeasibleConfigError,
     InvalidObservationError,
+    MissingObservationError,
     NetworkValidationError,
     NonConvergenceError,
-    ObservationOverflowError,
+    NotCoveredError,
 )
 from .hydraulics import SOLVER_TOLERANCE, residuals, state_from_json_dict
 from .network import Network, network_from_json_dict, network_to_json_dict
-from .observability import Verdict, classify_observation_pattern
-from .structure import DEFAULT_IMAGE_TOL, EdgeDecomposition, greedy_independent_columns
+from .observability import classify_observation_pattern, complete
 from .testkit import GeneratorConfig, random_connected_wds
 
 EXIT_OK = 0
@@ -50,6 +40,14 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_NOT_COVERED = 4
 EXIT_USAGE = 64
 EXIT_FILE = 65
+
+THEOREMS = {
+    "auto": None,
+    "all-heads": CompletionMethod.ALL_HEADS,
+    "heads-flows": CompletionMethod.HEADS_AND_FLOWS,
+    "forest-flows": CompletionMethod.FOREST_FLOWS,
+    "demand-driven": CompletionMethod.DEMAND_DRIVEN,
+}
 
 
 def _emit(payload: Any) -> None:
@@ -93,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs", required=True)
     p.add_argument(
         "--theorem",
-        choices=["auto", "all-heads", "heads-flows", "forest-flows", "demand-driven"],
+        choices=list(THEOREMS),
         default="auto",
     )
     p.add_argument("--tol", type=float, default=None)
@@ -171,85 +169,23 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_solve(args) -> int:
     net = _load_network(args.network)
+    obs = ObservationSet.from_json_dict(_load_json(args.obs))
     try:
-        obs = ObservationSet.from_json_dict(_load_json(args.obs))
-        obs.validate(net)
-    except InvalidObservationError as exc:
-        _diag(str(exc))
-        return EXIT_FILE
-
-    solver_tol = args.tol if args.tol is not None else SOLVER_TOLERANCE
-    image_tol = args.tol if args.tol is not None else DEFAULT_IMAGE_TOL
-    options = SolverOptions(max_iterations=args.max_iter, tolerance=solver_tol)
-
-    theorem = args.theorem
-    verdict = None
-    if theorem == "auto":
-        verdict = classify_observation_pattern(net, obs)
-        if verdict.verdict is Verdict.DETERMINED_ALL_HEADS:
-            theorem = "all-heads"
-        elif verdict.verdict is Verdict.DETERMINED_DEMAND_DRIVEN:
-            theorem = "demand-driven"
-        elif verdict.verdict is Verdict.DETERMINED_FOREST_FLOWS:
-            theorem = "forest-flows"
-        elif verdict.verdict is Verdict.CONDITIONALLY_DETERMINED_FLOWS:
-            theorem = "heads-flows"
-        else:
-            _emit(verdict.to_json_dict())
-            return EXIT_NOT_COVERED
-
-    try:
-        if theorem == "all-heads":
-            report = complete_from_heads(net, obs.head_vector(net))
-        elif theorem == "heads-flows":
-            report = complete_from_reservoir_heads_and_flows(
-                net, obs.reservoir_head_vector(net), obs.flow_vector(net), image_tol
-            )
-        elif theorem == "forest-flows":
-            observed = tuple(pid for pid in net.pipe_ids if pid in obs.flows)
-            independent = (
-                greedy_independent_columns(net, observed)
-                if verdict is None
-                else tuple(verdict.detail["independent_flows"])
-            )
-            if len(independent) < net.n_consumers:
-                _emit(
-                    {
-                        "error": "rank_deficient_flows",
-                        "message": "observed flows do not span a forest reaching every consumer",
-                        "flow_rank": len(independent),
-                        "required_rank": net.n_consumers,
-                    }
-                )
-                return EXIT_NOT_COVERED
-            chosen = set(independent)
-            dec = EdgeDecomposition(
-                independent, tuple(pid for pid in net.pipe_ids if pid not in chosen)
-            )
-            forest_flows = {pid: obs.flows[pid] for pid in independent}
-            report = complete_from_forest_flows(
-                net, obs.reservoir_head_vector(net), forest_flows, dec
-            )
-            surplus = {pid: obs.flows[pid] for pid in observed if pid not in chosen}
-            if surplus:
-                _check_surplus_flows(net, report.state.heads, surplus, image_tol)
-        elif theorem == "demand-driven":
-            report = solve_reservoir_heads_demands(
-                net, obs.reservoir_head_vector(net), obs.demand_vector(net), options
-            )
-        else:
-            raise AssertionError(theorem)
-    except ObservationOverflowError as exc:
-        _diag(str(exc))
-        return EXIT_FILE
-    except InvalidObservationError as exc:
+        report = complete(net, obs, THEOREMS[args.theorem], args.tol, args.max_iter)
+    except NotCoveredError as exc:
+        _emit(exc.detail)
+        return EXIT_NOT_COVERED
+    except MissingObservationError as exc:
         _emit(
             {
                 "error": "missing_observations",
-                "message": f"observations cannot drive theorem {theorem!r}: {exc}",
+                "message": f"observations cannot drive theorem {args.theorem!r}: {exc}",
             }
         )
         return EXIT_NOT_COVERED
+    except InvalidObservationError as exc:
+        _diag(str(exc))
+        return EXIT_FILE
     except InconsistentObservationsError as exc:
         _emit(
             {
@@ -272,29 +208,6 @@ def _cmd_solve(args) -> int:
 
     _emit(report.to_json_dict(net))
     return EXIT_OK
-
-
-def _check_surplus_flows(
-    net: Network, heads: np.ndarray, flows: Mapping[str, float], tol: float
-) -> None:
-    """Raise :class:`InconsistentObservationsError` if observed flows contradict the heads.
-
-    Each flow must satisfy the energy law ``h_tail - h_head = f(q)`` on its
-    pipe. As in :func:`~hydrostate.structure.image_membership`, the largest
-    residual is taken relative to the largest entry of the target
-    ``f(q) - Br^T h_r``, and never relative to less than 1. A flow whose
-    head loss overflows raises :class:`ObservationOverflowError` instead,
-    since no residual can be measured against it.
-    """
-    pipes = np.array([net.pipe_index[pid] for pid in flows])
-    tails, ends = net.tail_indices[pipes], net.head_indices[pipes]
-    loss = observed_head_loss(net, pipes, np.array(list(flows.values())))
-    reservoir = np.zeros(net.n_nodes)
-    reservoir[net.reservoir_indices] = heads[net.reservoir_indices]
-    target = loss - (reservoir[tails] - reservoir[ends])
-    residual = float(np.max(np.abs(heads[tails] - heads[ends] - loss)))
-    if residual / max(1.0, float(np.max(np.abs(target)))) > tol:
-        raise InconsistentObservationsError(residual)
 
 
 def _cmd_check(args) -> int:

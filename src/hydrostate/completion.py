@@ -3,9 +3,9 @@
 Four routes recover a full physically correct state:
 
 * all heads known: closed form, flows then demands;
-* reservoir heads plus all flows: linear least squares with a consistency
+* reservoir heads plus all flows: a tree walk with a consistency
   test, since cyclic flow patterns can contradict the energy law;
-* reservoir heads plus flows on a forest: invertible square solve for the
+* reservoir heads plus flows on a forest: a walk along the tree for the
   consumer heads, then chord flows and demands in closed form;
 * reservoir heads plus consumer demands (the classic simulator input):
   damped Newton iteration on the coupled energy/mass system, whose solution
@@ -36,6 +36,7 @@ from .errors import (
     FormatError,
     InconsistentObservationsError,
     InvalidObservationError,
+    MissingObservationError,
     NonConvergenceError,
     ObservationOverflowError,
 )
@@ -50,12 +51,14 @@ from .hydraulics import (
     residuals,
     state_to_json_dict,
 )
-from .network import Network, consumer_outflow, incidence_matrix
+from .network import Network, consumer_outflow
 from .structure import (
     DEFAULT_IMAGE_TOL,
     EdgeDecomposition,
-    image_membership,
     select_independent_edges,
+    tree_walk,
+    walk_flows,
+    walk_heads,
 )
 
 
@@ -98,9 +101,6 @@ class ObservationSet:
     def covers_all_demands(self, net: Network) -> bool:
         return all(nid in self.demands for nid in net.consumer_ids)
 
-    def covers_all_flows(self, net: Network) -> bool:
-        return all(pid in self.flows for pid in net.pipe_ids)
-
     def head_vector(self, net: Network) -> np.ndarray:
         return self._vector(self.heads, net.node_ids, "head")
 
@@ -117,7 +117,7 @@ class ObservationSet:
     def _vector(mapping: Mapping[str, float], ids: tuple[str, ...], what: str) -> np.ndarray:
         missing = [i for i in ids if i not in mapping]
         if missing:
-            raise InvalidObservationError(f"missing {what} observation for {missing[0]!r}")
+            raise MissingObservationError(f"missing {what} observation for {missing[0]!r}")
         return np.array([float(mapping[i]) for i in ids])
 
     @classmethod
@@ -271,6 +271,46 @@ def _warn_negative_heads(consumer_heads: np.ndarray) -> None:
         )
 
 
+def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theorem):
+    """The linear routes: walk ``forest`` from the ``grounded`` heads, check ``observed`` flows."""
+    _require_finite("observations", np.concatenate([heads[grounded], flows]))
+    loss = np.zeros(net.n_pipes)
+    loss[observed] = observed_head_loss(net, observed, flows)
+    h = walk_heads(tree_walk(net, forest, grounded), heads, loss)
+    q = invert_head_loss(h[net.tail_indices] - h[net.head_indices], net.resistances)
+    q[observed] = flows
+    d = demands_from_flows(net, q)
+    # Losses finite one by one can overflow when summed along a path: no NaN state.
+    if not all(np.all(np.isfinite(v)) for v in (h, q, d)):
+        raise ObservationOverflowError("observations overflow the completed state")
+    tails, ends, loss = net.tail_indices[observed], net.head_indices[observed], loss[observed]
+    _check("flows", h[tails] - h[ends] - loss, loss - (heads[tails] - heads[ends]), tol)
+    _warn_negative_heads(np.delete(h, grounded))
+    state = HydraulicState(h, q, d)
+    return SolveReport(state, 0, residuals(net, state), theorem)
+
+
+def _check(observed: str, mismatch: np.ndarray, reference: np.ndarray, tol: float) -> None:
+    """Raise if the largest ``|mismatch|`` exceeds ``tol`` times ``max(1, max|reference|)``."""
+    residual = float(np.max(np.abs(mismatch), initial=0.0))
+    if residual / max(1.0, float(np.max(np.abs(reference), initial=0.0))) > tol:
+        raise InconsistentObservationsError(residual, observed)
+
+
+def check_observations(net: Network, state: HydraulicState, obs: ObservationSet, tol: float):
+    """Raise :class:`InconsistentObservationsError` unless flows obey the energy law on the heads of
+    ``state``, and heads, then demands, equal its own within ``tol`` of the largest observed."""
+    pipes = np.array([j for j, pid in enumerate(net.pipe_ids) if pid in obs.flows], dtype=np.intp)
+    loss = observed_head_loss(net, pipes, np.array([obs.flows[net.pipe_ids[j]] for j in pipes]))
+    h, tails, ends = state.heads, net.tail_indices[pipes], net.head_indices[pipes]
+    reservoir = _assemble_heads(net, h[net.reservoir_indices], 0.0)
+    _check("flows", h[tails] - h[ends] - loss, loss - (reservoir[tails] - reservoir[ends]), tol)
+    completed = {"heads": state.heads, "demands": _assemble_heads(net, 0.0, state.demands)}
+    for what, observed in (("heads", obs.heads), ("demands", obs.demands)):
+        values = np.array(list(observed.values()))
+        _check(what, completed[what][[net.node_index[i] for i in observed]] - values, values, tol)
+
+
 def complete_from_heads(net: Network, heads: np.ndarray) -> SolveReport:
     """Complete flows and demands from a full head vector (canonical node order).
 
@@ -280,12 +320,8 @@ def complete_from_heads(net: Network, heads: np.ndarray) -> SolveReport:
     h = np.asarray(heads, dtype=float)
     if h.shape != (net.n_nodes,):
         raise ValueError(f"head vector must have one entry per node ({net.n_nodes})")
-    _require_finite("heads", h)
-    drops = h[net.tail_indices] - h[net.head_indices]
-    q = invert_head_loss(drops, net.resistances)
-    d = demands_from_flows(net, q)
-    state = HydraulicState(h, q, d)
-    return SolveReport(state, 0, residuals(net, state), CompletionMethod.ALL_HEADS)
+    everything, none = np.arange(net.n_nodes), np.arange(0)
+    return _complete_on_forest(net, h, everything, (), none, none, 0.0, CompletionMethod.ALL_HEADS)
 
 
 def complete_from_reservoir_heads_and_flows(
@@ -299,8 +335,8 @@ def complete_from_reservoir_heads_and_flows(
     The energy law pins down what the consumer heads must produce on every
     pipe; on cyclic networks that system is overdetermined, so arbitrary flow
     vectors may admit no solution. Raises
-    :class:`InconsistentObservationsError` when the least-squares test
-    rejects the observations, and :class:`ObservationOverflowError` when the
+    :class:`InconsistentObservationsError` when a pipe outside the forest
+    breaks the energy law, and :class:`ObservationOverflowError` when the
     head loss of an observed flow, or a head summed from such losses,
     overflows.
     """
@@ -310,34 +346,10 @@ def complete_from_reservoir_heads_and_flows(
         raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
     if q.shape != (net.n_pipes,):
         raise ValueError(f"need one flow per pipe ({net.n_pipes})")
-    _require_finite("reservoir heads", h_r)
-    _require_finite("flows", q)
-    target = observed_head_loss(net, np.arange(net.n_pipes), q) - _pipe_drops(net, h_r, 0.0)
-    membership = image_membership(net, target, tol)
-    if not math.isfinite(membership.residual):
-        raise ObservationOverflowError("observed flows overflow the consumer heads")
-    if not membership.member:
-        raise InconsistentObservationsError(membership.residual)
-    _warn_negative_heads(membership.consumer_heads)
-    h = _assemble_heads(net, h_r, membership.consumer_heads)
-    d = demands_from_flows(net, q)
-    state = HydraulicState(h, q, d)
-    return SolveReport(state, 0, residuals(net, state), CompletionMethod.HEADS_AND_FLOWS)
-
-
-def _forest_consumer_heads(
-    net: Network,
-    dec: EdgeDecomposition,
-    reservoir_heads: np.ndarray,
-    forest_flow_vector: np.ndarray,
-) -> np.ndarray:
-    """Consumer heads from the energy law on forest edges (square invertible solve)."""
-    B = incidence_matrix(net)
-    Bc = B.restrict(nodes=net.consumer_ids, pipes=dec.independent).entries.astype(float)
-    Br = B.restrict(nodes=net.reservoir_ids, pipes=dec.independent).entries.astype(float)
-    r = np.array([net.resistances[net.pipe_index[pid]] for pid in dec.independent])
-    rhs = head_loss(forest_flow_vector, r) - Br.T @ reservoir_heads
-    return np.linalg.solve(Bc.T, rhs)
+    return _complete_on_forest(
+        net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, None,
+        np.arange(net.n_pipes), q, tol, CompletionMethod.HEADS_AND_FLOWS,
+    )
 
 
 def complete_from_forest_flows(
@@ -349,8 +361,9 @@ def complete_from_forest_flows(
     """Complete the state from reservoir heads and flows on the independent edges.
 
     ``forest_flows`` must be keyed exactly by ``decomposition.independent``.
-    Consumer heads come from the invertible forest system, the chord flows
+    Consumer heads come from the tree walk along the forest, the chord flows
     from inverting their head drops, the demands from mass balance. Raises
+    :class:`DecompositionMismatchError` unless the forest spans the consumers and
     :class:`ObservationOverflowError` when the head loss of a forest flow, or
     a head summed from such losses, overflows.
     """
@@ -364,29 +377,11 @@ def complete_from_forest_flows(
         raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
 
     q_forest = np.array([float(forest_flows[pid]) for pid in dec.independent])
-    _require_finite("reservoir heads", h_r)
-    _require_finite("forest flows", q_forest)
     forest = np.array([net.pipe_index[pid] for pid in dec.independent], dtype=np.intp)
-    observed_head_loss(net, forest, q_forest)
-    h_c = _forest_consumer_heads(net, dec, h_r, q_forest)
-    h = _assemble_heads(net, h_r, h_c)
-
-    q = np.empty(net.n_pipes)
-    for pid, value in zip(dec.independent, q_forest):
-        q[net.pipe_index[pid]] = value
-    for pid in dec.dependent:
-        j = net.pipe_index[pid]
-        drop = h[net.tail_indices[j]] - h[net.head_indices[j]]
-        q[j] = invert_head_loss(drop, net.resistances[j])
-
-    d = demands_from_flows(net, q)
-    # Head losses that are finite one by one can still overflow when summed
-    # along a path; report that as an overflow, never as a state with NaN.
-    if not all(np.all(np.isfinite(v)) for v in (h, q, d)):
-        raise ObservationOverflowError("observed forest flows overflow the completed state")
-    _warn_negative_heads(h_c)
-    state = HydraulicState(h, q, d)
-    return SolveReport(state, 0, residuals(net, state), CompletionMethod.FOREST_FLOWS)
+    return _complete_on_forest(
+        net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, dec.independent,
+        forest, q_forest, DEFAULT_IMAGE_TOL, CompletionMethod.FOREST_FLOWS,
+    )
 
 
 def _initial_point(
@@ -408,15 +403,11 @@ def _initial_point(
         return q, h_c
     if options.initial_strategy == "forest":
         # Mass-feasible start: forest flows carry the demands, chords stay dry.
-        dec = select_independent_edges(net)
-        B = incidence_matrix(net)
-        Bc = B.restrict(nodes=net.consumer_ids, pipes=dec.independent).entries.astype(float)
-        q_forest = np.linalg.solve(Bc, -demands)
-        q = np.zeros(net.n_pipes)
-        for pid, value in zip(dec.independent, q_forest):
-            q[net.pipe_index[pid]] = value
-        h_c = _forest_consumer_heads(net, dec, reservoir_heads, q_forest)
-        return q, h_c
+        steps = tree_walk(net)
+        q = walk_flows(steps, _assemble_heads(net, 0.0, demands), net.n_pipes)
+        h = _assemble_heads(net, reservoir_heads, 0.0)
+        h = walk_heads(steps, h, head_loss(q, net.resistances))
+        return q, h[net.consumer_indices]
     if options.initial_strategy == "flat":
         return np.zeros(net.n_pipes), np.full(net.n_consumers, float(np.mean(reservoir_heads)))
     if options.initial_strategy == "random":

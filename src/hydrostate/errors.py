@@ -49,21 +49,34 @@ class InvalidObservationError(HydrostateError):
     """Observation keys do not resolve against the network, or values are not finite."""
 
 
+class MissingObservationError(InvalidObservationError):
+    """The requested completion route needs an observation that is missing."""
+
+
 class ObservationOverflowError(InvalidObservationError):
     """A finite observed flow overflows the energy law: its head loss is not finite."""
 
 
 class DecompositionMismatchError(HydrostateError):
-    """Supplied flows are not keyed by the decomposition's independent edges."""
+    """Supplied flows do not match the decomposition's independent edges, or these are no forest."""
+
+
+class NotCoveredError(HydrostateError):
+    """No completion route applies; ``detail`` is a JSON object saying why."""
+
+    def __init__(self, message: str, detail: dict):
+        super().__init__(message)
+        self.detail = detail
 
 
 class InconsistentObservationsError(HydrostateError):
-    """The observed reservoir heads and flows admit no physically correct completion."""
+    """The observations admit no physically correct completion; ``residual`` is the largest miss."""
 
-    def __init__(self, residual: float):
+    def __init__(self, residual: float, observed: str = "flows"):
         super().__init__(
-            f"observed flows are inconsistent around a cycle "
-            f"(energy-law residual {residual:.6e})"
+            f"observed flows are inconsistent around a cycle (energy-law residual {residual:.6e})"
+            if observed == "flows"
+            else f"observed {observed} contradict the completed state (off by {residual:.6e})"
         )
         self.residual = residual
 

@@ -1,10 +1,8 @@
-"""Classify observation patterns by which guarantee covers them.
+"""Classify observation patterns by which guarantee covers them, and complete by it.
 
 The classifier is purely structural: it looks at which ids are observed and
 at column ranks (one union-find scan of the observed pipes), never at the
-observed values. Value-dependent solvability (the full-flows route needs the
-observations to be mutually consistent) is reported as a proviso, not
-decided here.
+observed values; :func:`complete` checks the values against the completed state.
 """
 
 from __future__ import annotations
@@ -12,26 +10,26 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .completion import ObservationSet
+from .completion import (
+    CompletionMethod, ObservationSet, SolveReport, SolverOptions, check_observations,
+    complete_from_forest_flows, complete_from_heads, complete_from_reservoir_heads_and_flows,
+    solve_reservoir_heads_demands,
+)
+from .errors import NotCoveredError
 from .network import Network
-from .structure import greedy_independent_columns
+from .structure import DEFAULT_IMAGE_TOL, EdgeDecomposition, greedy_independent_columns
 
 
 class Verdict(enum.Enum):
     DETERMINED_ALL_HEADS = "determined_all_heads"
     DETERMINED_FOREST_FLOWS = "determined_forest_flows"
-    CONDITIONALLY_DETERMINED_FLOWS = "conditionally_determined_flows"
     DETERMINED_DEMAND_DRIVEN = "determined_demand_driven"
     UNDETERMINED_RANK_DEFICIENT = "undetermined_rank_deficient"
     NOT_COVERED = "not_covered"
 
     @property
     def determined(self) -> bool:
-        return self in (
-            Verdict.DETERMINED_ALL_HEADS,
-            Verdict.DETERMINED_FOREST_FLOWS,
-            Verdict.DETERMINED_DEMAND_DRIVEN,
-        )
+        return self in _ROUTES
 
 
 @dataclass(frozen=True)
@@ -57,11 +55,9 @@ def classify_observation_pattern(net: Network, pattern: ObservationSet) -> Obser
     2. reservoir heads and all consumer demands -> unique heads and flows;
     3. reservoir heads and observed-flow columns of full consumer rank ->
        unique completion from any independent flow subset;
-    4. reservoir heads and flows on every pipe -> determined only if the
-       values are mutually consistent (reported as a proviso);
-    5. reservoir heads with rank-deficient observed flows -> not determined
+    4. reservoir heads with rank-deficient observed flows -> not determined
        by the flow route;
-    6. anything else -> no covered guarantee, no claim either way.
+    5. anything else -> no covered guarantee, no claim either way.
     """
     pattern.validate(net)
     n_c = net.n_consumers
@@ -93,15 +89,6 @@ def classify_observation_pattern(net: Network, pattern: ObservationSet) -> Obser
                     "independent_flows": list(independent),
                 },
             )
-        if len(observed_flows) == net.n_pipes:
-            # Unreachable for valid networks: complete flow coverage always has
-            # full consumer rank. Kept to document the value-conditional route.
-            return ObservabilityVerdict(
-                Verdict.CONDITIONALLY_DETERMINED_FLOWS,
-                "flows are observed on every pipe; the state is determined only if "
-                "the observed values are mutually consistent around every cycle",
-                detail={"flow_rank": rank, "required_rank": n_c},
-            )
         return ObservabilityVerdict(
             Verdict.UNDETERMINED_RANK_DEFICIENT,
             "the observed flows do not reach every consumer independently; "
@@ -115,3 +102,53 @@ def classify_observation_pattern(net: Network, pattern: ObservationSet) -> Obser
         "no covered guarantee matches this observation pattern",
         detail={"missing_reservoir_heads": missing},
     )
+
+
+_ROUTES = {
+    Verdict.DETERMINED_ALL_HEADS: CompletionMethod.ALL_HEADS,
+    Verdict.DETERMINED_FOREST_FLOWS: CompletionMethod.FOREST_FLOWS,
+    Verdict.DETERMINED_DEMAND_DRIVEN: CompletionMethod.DEMAND_DRIVEN,
+}
+
+
+def complete(
+    net: Network, obs: ObservationSet, theorem: CompletionMethod | None = None,
+    tol: float | None = None, max_iterations: int = SolverOptions.max_iterations,
+) -> SolveReport:
+    """Complete the state by one route (by default the classifier's), then check every observation.
+
+    ``tol`` (default ``DEFAULT_IMAGE_TOL``, or the solver's when demand-driven) serves both.
+    Raises :class:`NotCoveredError` when no route applies, besides the errors of the route.
+    """
+    forest = None
+    if theorem is None:
+        verdict = classify_observation_pattern(net, obs)
+        if verdict.verdict not in _ROUTES:
+            raise NotCoveredError(verdict.explanation, verdict.to_json_dict())
+        theorem, forest = _ROUTES[verdict.verdict], verdict.detail.get("independent_flows")
+    obs.validate(net)
+    if tol is None:
+        demand_driven = theorem is CompletionMethod.DEMAND_DRIVEN
+        tol = SolverOptions.tolerance if demand_driven else DEFAULT_IMAGE_TOL
+    if theorem is CompletionMethod.ALL_HEADS:
+        report = complete_from_heads(net, obs.head_vector(net))
+    elif theorem is CompletionMethod.HEADS_AND_FLOWS:
+        h_r, q = obs.reservoir_head_vector(net), obs.flow_vector(net)
+        report = complete_from_reservoir_heads_and_flows(net, h_r, q, tol)
+    elif theorem is CompletionMethod.DEMAND_DRIVEN:
+        h_r, d = obs.reservoir_head_vector(net), obs.demand_vector(net)
+        options = SolverOptions(max_iterations=max_iterations, tolerance=tol)
+        report = solve_reservoir_heads_demands(net, h_r, d, options)
+    else:
+        if forest is None:
+            forest = greedy_independent_columns(net, [p for p in net.pipe_ids if p in obs.flows])
+        if len(forest) < net.n_consumers:
+            message = "observed flows do not span a forest reaching every consumer"
+            detail = {"error": "rank_deficient_flows", "message": message, "flow_rank": len(forest)}
+            raise NotCoveredError(message, {**detail, "required_rank": net.n_consumers})
+        chosen = set(forest)
+        dec = EdgeDecomposition(tuple(forest), tuple(p for p in net.pipe_ids if p not in chosen))
+        forest_flows = {pid: obs.flows[pid] for pid in forest}
+        report = complete_from_forest_flows(net, obs.reservoir_head_vector(net), forest_flows, dec)
+    check_observations(net, report.state, obs, tol)
+    return report

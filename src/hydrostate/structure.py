@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySubsetError, UnknownNodeError
+from .errors import DecompositionMismatchError, EmptySubsetError, UnknownNodeError
 from .network import IncidenceMatrix, Network, incidence_matrix, join_sets
 
 #: Default relative tolerance of the image-membership test.
@@ -245,6 +245,54 @@ def _solve_rational(a: np.ndarray, b: np.ndarray) -> list[list[Fraction]]:
     return [row[n:] for row in work]
 
 
+def tree_walk(
+    net: Network, forest: Sequence[str] | None = None, grounded: Sequence[int] | None = None
+) -> tuple[tuple[int, int, int, int], ...]:
+    """Orient ``forest`` (default: the canonical one) breadth-first from ``grounded`` (reservoirs).
+
+    Step ``(child, parent, pipe, sign)`` has ``sign`` +1 when ``pipe`` points to ``child``. Raises
+    :class:`DecompositionMismatchError` unless it spans the graph with ``grounded`` merged.
+    """
+    forest = _forest_scan(net, net.pipe_ids) if forest is None else forest
+    queue = np.asarray(net.reservoir_indices if grounded is None else grounded).tolist()
+    if not forest and len(queue) == net.n_nodes:
+        return ()
+    tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
+    incident: list[list[int]] = [[] for _ in range(net.n_nodes)]
+    for j in (net.pipe_index[pid] for pid in forest):
+        incident[tails[j]].append(j)
+        incident[ends[j]].append(j)
+    reached, steps = set(queue), []
+    for parent in queue:
+        for j in incident[parent]:
+            child, sign = (ends[j], 1) if tails[j] == parent else (tails[j], -1)
+            if child not in reached:
+                reached.add(child)
+                queue.append(child)
+                steps.append((child, parent, j, sign))
+    # Each reached node takes one forest pipe: any pipe left over closes a cycle.
+    if len(steps) != len(forest) or len(queue) != net.n_nodes:
+        raise DecompositionMismatchError("the forest must reach every ungrounded node exactly once")
+    return tuple(steps)
+
+
+def walk_heads(steps, heads: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    """Every head from the grounded ones: ``h[child] = h[parent] - sign * loss[pipe]``."""
+    h = np.array(heads, dtype=float)
+    for child, parent, pipe, sign in steps:
+        h[child] = h[parent] - sign * loss[pipe]
+    return h
+
+
+def walk_flows(steps, demands: np.ndarray, n_pipes: int) -> np.ndarray:
+    """Forest flows delivering the node ``demands``, summed from the leaves; other pipes dry."""
+    subtree, q = np.asarray(demands, dtype=float).tolist(), [0.0] * n_pipes
+    for child, parent, pipe, sign in reversed(steps):
+        q[pipe] = sign * subtree[child]
+        subtree[parent] += subtree[child]
+    return np.array(q)
+
+
 @dataclass(frozen=True)
 class ImageMembership:
     """Outcome of testing whether a pipe-space vector is reachable from consumer heads."""
@@ -257,24 +305,19 @@ class ImageMembership:
 def image_membership(
     net: Network, target: np.ndarray, tol: float = DEFAULT_IMAGE_TOL
 ) -> ImageMembership:
-    """Least-squares test of ``target in range(B_consumers^T)``.
+    """Tree-walk test of ``target in range(B_consumers^T)``.
 
-    The consumer rows have full rank, so the minimizer of
-    ``||B_consumers^T h - target||`` is unique. Membership is decided on the
+    The target on the canonical forest fixes the consumer heads, and every
+    other pipe must agree with them. Membership is decided on the
     relative infinity-norm residual against ``tol``; a member result carries
     the consumer heads that realize the target.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (net.n_pipes,):
         raise ValueError(f"target must have one entry per pipe ({net.n_pipes})")
-    A = (
-        incidence_matrix(net)
-        .restrict(nodes=net.consumer_ids)
-        .entries.T.astype(float)
-    )
-    heads, *_ = np.linalg.lstsq(A, target, rcond=None)
-    residual = float(np.max(np.abs(A @ heads - target), initial=0.0))
+    h = walk_heads(tree_walk(net), np.zeros(net.n_nodes), target)
+    residual = float(np.max(np.abs(h[net.tail_indices] - h[net.head_indices] - target)))
     scale = max(1.0, float(np.max(np.abs(target), initial=0.0)))
     if residual / scale <= tol:
-        return ImageMembership(True, heads, residual)
+        return ImageMembership(True, h[net.consumer_indices], residual)
     return ImageMembership(False, None, residual)

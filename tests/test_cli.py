@@ -10,7 +10,6 @@ import pytest
 
 import hydrostate
 from hydrostate import (
-    cli,
     network_to_json_dict,
     observability,
     solve_reservoir_heads_demands,
@@ -190,13 +189,13 @@ class TestSolve:
         self, monkeypatch, capsys, tmp_path, triangle_file, triangle_net, theorem
     ):
         # With ``auto`` the forest comes from the verdict, not a second scan.
+        # Both the classifier and ``complete`` live in ``observability``.
         calls = []
 
         def counted(net, candidates):
             calls.append(tuple(candidates))
             return structure.greedy_independent_columns(net, candidates)
 
-        monkeypatch.setattr(cli, "greedy_independent_columns", counted)
         monkeypatch.setattr(observability, "greedy_independent_columns", counted)
         truth = random_ground_truth_state(triangle_net, seed=3)
         flows = {pid: float(truth.flows[i]) for i, pid in enumerate(triangle_net.pipe_ids)}
@@ -245,6 +244,51 @@ class TestSolve:
         # The forest route checks the energy law directly; no least squares runs.
         assert "least-squares" not in payload["message"]
         assert f"energy-law residual {payload['residual']:.6e}" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "observed, theorem, wrong",
+        [
+            ({"heads": "R c1 c2", "flows": "e3"}, "all_heads", ("flows", "e3")),
+            ({"heads": "R c1 c2", "demands": "c1"}, "all_heads", ("demands", "c1")),
+            ({"heads": "R", "flows": "e1 e2", "demands": "c2"}, "forest_flows", ("demands", "c2")),
+            ({"heads": "R", "flows": "e3", "demands": "c1 c2"}, "demand_driven", ("flows", "e3")),
+            ({"heads": "R c1", "demands": "c1 c2"}, "demand_driven", ("heads", "c1")),
+        ],
+        ids=[
+            "all_heads_flow",
+            "all_heads_demand",
+            "forest_flows_demand",
+            "demand_driven_flow",
+            "demand_driven_head",
+        ],
+    )
+    def test_left_over_observations_are_checked(
+        self, capsys, tmp_path, triangle_file, triangle_net, observed, theorem, wrong
+    ):
+        # The route does not use the wrong observation; it must still be checked.
+        truth = random_ground_truth_state(triangle_net, seed=4)
+        values = {
+            "heads": dict(zip(triangle_net.node_ids, truth.heads.tolist())),
+            "flows": dict(zip(triangle_net.pipe_ids, truth.flows.tolist())),
+            "demands": dict(zip(triangle_net.consumer_ids, truth.demands.tolist())),
+        }
+        doc = {
+            section: {key: values[section][key] for key in keys.split()}
+            for section, keys in observed.items()
+        }
+        consistent = write_json(tmp_path / "ok.json", doc)
+        code, payload = invoke(capsys, ["solve", triangle_file, "--obs", consistent])
+        assert code == 0
+        assert payload["theorem"] == theorem
+
+        section, key = wrong
+        doc[section][key] += 1e-3
+        contradicted = write_json(tmp_path / "bad.json", doc)
+        code, payload = invoke(capsys, ["solve", triangle_file, "--obs", contradicted])
+        assert code == 2
+        assert payload["error"] == "inconsistent_observations"
+        assert payload["residual"] > 0
+        assert section in payload["message"]
 
     def test_non_convergence_exit_3(self, capsys, tmp_path, triangle_file):
         obs = write_json(

@@ -11,6 +11,7 @@ from hydrostate import (
     HAZEN_WILLIAMS_EXPONENT,
     CompletionMethod,
     DecompositionMismatchError,
+    EdgeDecomposition,
     FormatError,
     GeneratorConfig,
     InconsistentObservationsError,
@@ -141,6 +142,15 @@ class TestCompleteFromForestFlows:
         with pytest.raises(DecompositionMismatchError):
             complete_from_forest_flows(
                 triangle_net, np.array([100.0]), {"e1": 1.0, "e3": 0.5}, dec
+            )
+
+    def test_forest_pipe_swapped_for_a_chord(self, parallel_triangle_net):
+        # e1p runs parallel to e1: with it in place of e2 the "forest" closes
+        # the cycle R-c1-R and leaves c2 unreached.
+        dec = EdgeDecomposition(("e1", "e1p"), ("e2", "e3"))
+        with pytest.raises(DecompositionMismatchError, match="exactly once"):
+            complete_from_forest_flows(
+                parallel_triangle_net, np.array([100.0]), {"e1": 1.0, "e1p": 0.5}, dec
             )
 
     def test_defaults_to_canonical_decomposition(self, triangle_net):
@@ -556,3 +566,29 @@ def test_demand_driven_scales_without_dense_matrix():
     assert report.final_residual.physically_correct(1e-8)
     assert np.max(np.abs(report.state.heads - truth.heads)) <= 1e-6
     assert peak < 8 * net.n_consumers**2 / 10
+
+
+@pytest.mark.parametrize("route", ["forest_flows", "heads_flows"])
+def test_flow_routes_scale_without_dense_matrix(route):
+    # 5000 consumers: the dense consumer incidence alone would take 8 * n_c * m bytes.
+    net = looped_grid(50, 100, seed=3)
+    truth = random_ground_truth_state(net, seed=5)
+    h_r = truth.reservoir_heads(net)
+    dec = select_independent_edges(net)
+    forest_flows = {pid: float(truth.flows[net.pipe_index[pid]]) for pid in dec.independent}
+    tracemalloc.start()
+    try:
+        if route == "forest_flows":
+            report = complete_from_forest_flows(net, h_r, forest_flows, dec)
+        else:
+            report = complete_from_reservoir_heads_and_flows(net, h_r, truth.flows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.final_residual.physically_correct(1e-10)
+    for completed, expected in zip(
+        (report.state.heads, report.state.flows, report.state.demands),
+        (truth.heads, truth.flows, truth.demands),
+    ):
+        assert np.max(np.abs(completed - expected)) <= 1e-8
+    assert peak < 8 * net.n_consumers * net.n_pipes / 10

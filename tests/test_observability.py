@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from hydrostate import (
+    CompletionMethod,
     InconsistentObservationsError,
     InvalidObservationError,
+    NotCoveredError,
     ObservationSet,
     Verdict,
     classify_observation_pattern,
+    complete,
     complete_from_forest_flows,
     complete_from_heads,
     complete_from_reservoir_heads_and_flows,
+    select_independent_edges,
     solve_reservoir_heads_demands,
 )
 from hydrostate.structure import EdgeDecomposition
@@ -184,3 +188,55 @@ def test_verdict_json_shape(triangle_net):
     assert doc["verdict"] == "undetermined_rank_deficient"
     assert isinstance(doc["explanation"], str)
     assert doc["detail"]["flow_rank"] == 1
+
+
+def _perturbed(obs, section, key, delta=1e-3):
+    sections = {name: dict(getattr(obs, name)) for name in ("heads", "flows", "demands")}
+    sections[section][key] += delta
+    return ObservationSet(**sections)
+
+
+class TestComplete:
+    def test_every_observation_is_used_or_checked(self):
+        # Observations taken from the truth never trip the check; moving any
+        # observation the route did not use by 1e-3 always does.
+        rng = np.random.default_rng(67)
+        for k, net in enumerate(make_random_networks(40, seed0=151, max_nodes=25)):
+            truth = random_ground_truth_state(net, seed=k)
+            dec = select_independent_edges(net)
+            # All but one consumer head and all but one demand, so that no
+            # other route applies before the forest and demand-driven ones.
+            some = list(rng.permutation(net.consumer_ids)[1:])
+            reservoirs = list(net.reservoir_ids)
+            consumers, chords = list(net.consumer_ids), list(dec.dependent)
+            cases = [
+                # (theorem, route taken, heads, flows, demands, left over)
+                (None, CompletionMethod.ALL_HEADS, net.node_ids, net.pipe_ids, consumers,
+                 [("flows", net.pipe_ids), ("demands", consumers)]),
+                (None, CompletionMethod.FOREST_FLOWS, reservoirs + some, net.pipe_ids, some,
+                 [("flows", chords), ("heads", some), ("demands", some)]),
+                (CompletionMethod.HEADS_AND_FLOWS, CompletionMethod.HEADS_AND_FLOWS,
+                 reservoirs + some, net.pipe_ids, consumers, [("heads", some), ("demands", consumers)]),
+                (None, CompletionMethod.DEMAND_DRIVEN, reservoirs + some, net.pipe_ids, consumers,
+                 [("flows", net.pipe_ids), ("heads", some)]),
+            ]
+            for theorem, route, heads, flows, demands, left_over in cases:
+                obs = _pattern_from_state(net, truth, heads, flows, demands)
+                report = complete(net, obs, theorem)
+                assert report.theorem is route
+                for section, ids in left_over:
+                    if not ids:
+                        continue
+                    key = ids[int(rng.integers(len(ids)))]
+                    with pytest.raises(InconsistentObservationsError):
+                        complete(net, _perturbed(obs, section, key), theorem)
+
+    def test_not_covered(self, triangle_net):
+        obs = ObservationSet(heads={"R": 100.0}, flows={"e3": 0.1})
+        with pytest.raises(NotCoveredError) as auto:
+            complete(triangle_net, obs)
+        assert auto.value.detail == classify_observation_pattern(triangle_net, obs).to_json_dict()
+        with pytest.raises(NotCoveredError) as forest:
+            complete(triangle_net, obs, CompletionMethod.FOREST_FLOWS)
+        assert forest.value.detail["error"] == "rank_deficient_flows"
+        assert forest.value.detail["flow_rank"] == 1

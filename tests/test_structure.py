@@ -1,4 +1,4 @@
-"""Tests for ranks, forest/chord decomposition, cycle space and image membership."""
+"""Tests for ranks, forest/chord decomposition, tree walk, cycle space and image membership."""
 
 from collections import deque
 
@@ -8,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrostate import (
+    DecompositionMismatchError,
     EdgeDecomposition,
     EmptySubsetError,
     GeneratorConfig,
+    SolverOptions,
     UnknownNodeError,
     build_network,
+    completion,
     cycle_space_basis,
+    head_loss,
     image_membership,
     incidence_matrix,
     params_for_resistance,
@@ -22,10 +26,15 @@ from hydrostate import (
     submatrix_rank,
 )
 from hydrostate.structure import (
+    DEFAULT_IMAGE_TOL,
+    _forest_scan,
     flow_pattern_rank,
     greedy_independent_columns,
     integer_determinant,
     integer_rank,
+    tree_walk,
+    walk_flows,
+    walk_heads,
 )
 from hydrostate.testkit import MAX_PARALLEL_PIPES
 
@@ -329,3 +338,103 @@ def test_spanning_forest_of_a_large_grid():
                 reached.add(k)
                 queue.append(k)
     assert reached >= set(net.consumer_indices.tolist())
+
+
+# --- the tree walk against the dense linear algebra it replaces ---------------
+
+
+def dense_forest_heads(net, forest, reservoir_heads, loss):
+    """Oracle: consumer heads from the energy law on the forest pipes, one dense square solve."""
+    B = incidence_matrix(net)
+    Bc = B.restrict(nodes=net.consumer_ids, pipes=forest).entries.astype(float)
+    Br = B.restrict(nodes=net.reservoir_ids, pipes=forest).entries.astype(float)
+    cols = [net.pipe_index[pid] for pid in forest]
+    return np.linalg.solve(Bc.T, loss[cols] - Br.T @ reservoir_heads)
+
+
+def lstsq_membership(net, target, tol=DEFAULT_IMAGE_TOL):
+    """Oracle membership test: dense least squares of ``B_consumers^T h = target``.
+
+    Returns ``(member, consumer heads)``, deciding on the relative
+    infinity-norm residual as :func:`image_membership` does.
+    """
+    A = incidence_matrix(net).restrict(nodes=net.consumer_ids).entries.T.astype(float)
+    heads, *_ = np.linalg.lstsq(A, target, rcond=None)
+    residual = float(np.max(np.abs(A @ heads - target), initial=0.0))
+    scale = max(1.0, float(np.max(np.abs(target), initial=0.0)))
+    return residual / scale <= tol, heads
+
+
+def assert_close(actual, expected, rtol):
+    assert np.max(np.abs(actual - expected), initial=0.0) <= rtol * max(
+        1.0, float(np.max(np.abs(expected), initial=0.0))
+    )
+
+
+class TestTreeWalk:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracles(self, data):
+        net = data.draw(shuffled_networks())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        h_r = rng.uniform(50.0, 150.0, net.n_reservoirs)
+        h0 = np.zeros(net.n_nodes)
+        h0[net.reservoir_indices] = h_r
+
+        # Heads along a forest found by scanning the pipes in a random order.
+        forest = _forest_scan(net, data.draw(st.permutations(net.pipe_ids)))
+        loss = rng.uniform(-10.0, 10.0, net.n_pipes)
+        walked = walk_heads(tree_walk(net, forest), h0, loss)
+        assert np.array_equal(walked[net.reservoir_indices], h_r)
+        assert_close(walked[net.consumer_indices], dense_forest_heads(net, forest, h_r, loss), 1e-9)
+
+        # Membership of a consistent target, and of one with a chord perturbed.
+        A = incidence_matrix(net).restrict(nodes=net.consumer_ids).entries.T.astype(float)
+        h_c = rng.uniform(-100.0, 100.0, net.n_consumers)
+        target = A @ h_c
+        result = image_membership(net, target)
+        member, oracle_heads = lstsq_membership(net, target)
+        assert result.member and member
+        assert_close(result.consumer_heads, oracle_heads, 1e-9)
+        chords = select_independent_edges(net).dependent
+        if chords:
+            chord = chords[data.draw(st.integers(0, len(chords) - 1))]
+            target[net.pipe_index[chord]] += 1e-3
+            result = image_membership(net, target)
+            assert not result.member and not lstsq_membership(net, target)[0]
+            assert result.consumer_heads is None
+
+        # The forest Newton start: the forest carries the demands, Bc q = -d.
+        d = rng.uniform(-1.0, 1.0, net.n_consumers)
+        opts = SolverOptions(initial_strategy="forest")
+        q, start_heads = completion._initial_point(net, h_r, d, opts)
+        dec = select_independent_edges(net)
+        cols = [net.pipe_index[pid] for pid in dec.independent]
+        Bc = incidence_matrix(net).restrict(nodes=net.consumer_ids, pipes=dec.independent)
+        assert_close(q[cols], np.linalg.solve(Bc.entries.astype(float), -d), 1e-9)
+        assert not np.any(np.delete(q, cols))
+        loss = head_loss(q, net.resistances)
+        assert_close(start_heads, dense_forest_heads(net, dec.independent, h_r, loss), 1e-9)
+
+    def test_orientation_and_order(self, path_net):
+        # R -> c1 -> c2 along the canonical orientation; c1 is reached first.
+        steps = tree_walk(path_net)
+        assert steps == ((1, 0, 0, 1), (2, 1, 1, 1))
+        heads = walk_heads(steps, np.array([100.0, 0.0, 0.0]), np.array([1.0, 0.5]))
+        assert heads.tolist() == [100.0, 99.0, 98.5]
+        assert walk_flows(steps, np.array([0.0, 0.5, 0.5]), 2).tolist() == [1.0, 0.5]
+
+    def test_empty_forest_with_every_node_grounded(self, triangle_net):
+        steps = tree_walk(triangle_net, (), range(triangle_net.n_nodes))
+        assert steps == ()
+        heads = np.array([3.0, 2.0, 1.0])
+        assert walk_heads(steps, heads, np.zeros(3)).tolist() == heads.tolist()
+
+    @pytest.mark.parametrize(
+        "forest",
+        [("e1", "e1p"), ("e1",), ("e1", "e2", "e3"), ()],
+        ids=["cycle", "short", "long", "empty"],
+    )
+    def test_not_a_spanning_forest(self, parallel_triangle_net, forest):
+        with pytest.raises(DecompositionMismatchError):
+            tree_walk(parallel_triangle_net, forest)
