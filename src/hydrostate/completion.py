@@ -55,6 +55,7 @@ from .network import Network, consumer_outflow
 from .structure import (
     DEFAULT_IMAGE_TOL,
     EdgeDecomposition,
+    pipe_positions,
     select_independent_edges,
     tree_walk,
     walk_flows,
@@ -240,7 +241,7 @@ def _solve_heads(net: Network, weights: np.ndarray, rhs: np.ndarray) -> np.ndarr
 
 
 def _require_finite(what: str, values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise InvalidObservationError(f"{what} must be finite")
 
 
@@ -273,19 +274,25 @@ def _warn_negative_heads(consumer_heads: np.ndarray) -> None:
 
 def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theorem):
     """The linear routes: walk ``forest`` from the ``grounded`` heads, check ``observed`` flows."""
-    _require_finite("observations", np.concatenate([heads[grounded], flows]))
+    _require_finite("observations", heads[grounded])
+    _require_finite("observations", flows)
     loss = np.zeros(net.n_pipes)
-    loss[observed] = observed_head_loss(net, observed, flows)
-    h = walk_heads(tree_walk(net, forest, grounded), heads, loss)
+    if observed.size:
+        loss[observed] = observed_head_loss(net, observed, flows)
+    steps = tree_walk(net, forest, grounded)
+    h = walk_heads(steps, heads, loss)
     q = invert_head_loss(h[net.tail_indices] - h[net.head_indices], net.resistances)
     q[observed] = flows
     d = demands_from_flows(net, q)
-    # Losses finite one by one can overflow when summed along a path: no NaN state.
-    if not all(np.all(np.isfinite(v)) for v in (h, q, d)):
+    # Losses finite one by one can overflow when summed along a path, and so
+    # can head drops and demands: no NaN state.
+    if not (np.isfinite(h).all() and np.isfinite(q).all() and np.isfinite(d).all()):
         raise ObservationOverflowError("observations overflow the completed state")
-    tails, ends, loss = net.tail_indices[observed], net.head_indices[observed], loss[observed]
-    _check("flows", h[tails] - h[ends] - loss, loss - (heads[tails] - heads[ends]), tol)
-    _warn_negative_heads(np.delete(h, grounded))
+    if observed.size:
+        tails, ends, loss = net.tail_indices[observed], net.head_indices[observed], loss[observed]
+        _check("flows", h[tails] - h[ends] - loss, loss - (heads[tails] - heads[ends]), tol)
+    if steps:
+        _warn_negative_heads(np.delete(h, grounded))
     state = HydraulicState(h, q, d)
     return SolveReport(state, 0, residuals(net, state), theorem)
 
@@ -377,7 +384,7 @@ def complete_from_forest_flows(
         raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
 
     q_forest = np.array([float(forest_flows[pid]) for pid in dec.independent])
-    forest = np.array([net.pipe_index[pid] for pid in dec.independent], dtype=np.intp)
+    forest = np.array(pipe_positions(net, dec.independent), dtype=np.intp)
     return _complete_on_forest(
         net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, dec.independent,
         forest, q_forest, DEFAULT_IMAGE_TOL, CompletionMethod.FOREST_FLOWS,

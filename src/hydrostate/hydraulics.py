@@ -134,13 +134,13 @@ def residuals(net: Network, state: HydraulicState) -> ResidualReport:
     h, q, d = state.heads, state.flows, state.demands
     if h.shape != (net.n_nodes,) or q.shape != (net.n_pipes,) or d.shape != (net.n_consumers,):
         raise ValueError("state dimensions do not match the network")
-    energy = (h[net.tail_indices] - h[net.head_indices]) - head_loss(q, net.resistances)
-    mass = d + consumer_outflow(net, q)
-    e_arg = int(np.argmax(np.abs(energy)))
-    m_arg = int(np.argmax(np.abs(mass)))
+    energy = np.abs((h[net.tail_indices] - h[net.head_indices]) - head_loss(q, net.resistances))
+    mass = np.abs(d + consumer_outflow(net, q))
+    e_arg = int(energy.argmax())
+    m_arg = int(mass.argmax())
     return ResidualReport(
-        energy_inf_norm=float(np.abs(energy[e_arg])),
-        mass_inf_norm=float(np.abs(mass[m_arg])),
+        energy_inf_norm=float(energy[e_arg]),
+        mass_inf_norm=float(mass[m_arg]),
         max_energy_pipe=net.pipe_ids[e_arg],
         max_mass_node=net.consumer_ids[m_arg],
     )

@@ -111,6 +111,14 @@ class EdgeDecomposition:
     dependent: tuple[str, ...]
 
 
+def pipe_positions(net: Network, pipe_ids: Iterable[str]) -> list[int]:
+    """Canonical positions of ``pipe_ids``; raises :class:`UnknownNodeError` for an unknown id."""
+    try:
+        return [net.pipe_index[pid] for pid in pipe_ids]
+    except KeyError as exc:
+        raise UnknownNodeError(f"unknown pipe id: {exc.args[0]!r}") from None
+
+
 def _forest_scan(net: Network, pipe_ids: Iterable[str]) -> tuple[str, ...]:
     """The pipes of ``pipe_ids`` that join two components, in the order given.
 
@@ -254,12 +262,13 @@ def tree_walk(
     :class:`DecompositionMismatchError` unless it spans the graph with ``grounded`` merged.
     """
     forest = _forest_scan(net, net.pipe_ids) if forest is None else forest
-    queue = np.asarray(net.reservoir_indices if grounded is None else grounded).tolist()
-    if not forest and len(queue) == net.n_nodes:
+    grounded = net.reservoir_indices if grounded is None else grounded
+    if not forest and len(grounded) == net.n_nodes:
         return ()
+    queue = np.asarray(grounded).tolist()
     tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
     incident: list[list[int]] = [[] for _ in range(net.n_nodes)]
-    for j in (net.pipe_index[pid] for pid in forest):
+    for j in pipe_positions(net, forest):
         incident[tails[j]].append(j)
         incident[ends[j]].append(j)
     reached, steps = set(queue), []

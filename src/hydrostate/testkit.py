@@ -10,6 +10,7 @@ precision and serve as the oracle for every round-trip test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -38,11 +39,23 @@ def params_for_resistance(
     """Pipe parameters realizing a given resistance (resistance is linear in length)."""
     if not target > 0:
         raise ValueError("target resistance must be positive")
-    unit = resistance(PipeParams(length=1.0, diameter=diameter, roughness=roughness))
-    return PipeParams(length=target / unit, diameter=diameter, roughness=roughness)
+    length = target / _unit_resistance(diameter, roughness)
+    return PipeParams(length=length, diameter=diameter, roughness=roughness)
+
+
+@lru_cache(maxsize=32)
+def _unit_resistance(diameter: float, roughness: float) -> float:
+    return resistance(PipeParams(length=1.0, diameter=diameter, roughness=roughness))
+
+
+def _capacity(n: int) -> int:
+    """Free pair slots of an ``n``-node network once its spanning tree has taken ``n - 1``."""
+    return MAX_PARALLEL_PIPES * (n * (n - 1) // 2) - (n - 1)
 
 
 def _validate(cfg: GeneratorConfig) -> None:
+    if cfg.seed < 0:
+        raise InfeasibleConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.n_reservoirs < 1 or cfg.n_consumers < 1:
         raise InfeasibleConfigError("need at least one reservoir and one consumer")
     if cfg.extra_edges < 0:
@@ -54,7 +67,7 @@ def _validate(cfg: GeneratorConfig) -> None:
     if not (0 < r_lo <= r_hi):
         raise InfeasibleConfigError("resistance_range must be positive and nonempty")
     n = cfg.n_reservoirs + cfg.n_consumers
-    capacity = MAX_PARALLEL_PIPES * (n * (n - 1) // 2) - (n - 1)
+    capacity = _capacity(n)
     if cfg.extra_edges > capacity:
         raise InfeasibleConfigError(
             f"extra_edges={cfg.extra_edges} exceeds the capacity {capacity} "
@@ -62,12 +75,42 @@ def _validate(cfg: GeneratorConfig) -> None:
         )
 
 
+def _free_slot_pairs(n: int, tree: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Node pairs ``(a, b)``, ``a < b``, of the free slots with the sorted indices ``picks``.
+
+    The free slots list every pair ``a < b`` row by row, ``MAX_PARALLEL_PIPES``
+    times, once less for each of the ``n - 1`` spanning-tree edges in
+    ``tree`` (rows of two node indices, either orientation). Row ``a``
+    holds ``MAX_PARALLEL_PIPES * (n - 1 - a)`` slots minus its tree partners,
+    so one bisection over the row ends finds the row. A slot at ``offset`` in
+    the row, after the first slots of ``j`` tree partners, belongs to
+    ``b = a + 1 + (offset + j) // MAX_PARALLEL_PIPES``, and a second
+    bisection over those first slots finds ``j``. O(n + k log n) time and
+    memory for ``k`` picks.
+    """
+    tree = np.sort(tree, axis=1)
+    tree = tree[np.lexsort((tree[:, 1], tree[:, 0]))]
+    lo, hi = tree[:, 0], tree[:, 1]
+    partners = np.bincount(lo, minlength=n)
+    sizes = MAX_PARALLEL_PIPES * (n - 1 - np.arange(n)) - partners
+    row_end = np.cumsum(sizes)
+    row_start = row_end - sizes
+    first_partner = np.cumsum(partners) - partners
+    rank_in_row = np.arange(len(tree)) - first_partner[lo]
+    partner_slot = row_start[lo] + MAX_PARALLEL_PIPES * (hi - lo - 1) - rank_in_row
+    a = np.searchsorted(row_end, picks, side="right")
+    before = np.searchsorted(partner_slot, picks, side="left") - first_partner[a]
+    return a, a + 1 + (picks - row_start[a] + before) // MAX_PARALLEL_PIPES
+
+
 def random_connected_wds(cfg: GeneratorConfig) -> Network:
     """Random connected network, deterministic in the seed.
 
     Exactly ``n_reservoirs + n_consumers`` nodes and
     ``(n_nodes - 1) + extra_edges`` pipes; pipe resistances land inside
-    ``resistance_range``.
+    ``resistance_range``. Time and memory are O(n + k log n) for ``k`` extra
+    edges, except that numpy's ``choice`` shuffles all (n - 1)**2 slot
+    indices when ``k`` exceeds a fiftieth of more than 10**4 of them.
     """
     _validate(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -79,37 +122,26 @@ def random_connected_wds(cfg: GeneratorConfig) -> Network:
 
     # Random recursive tree over a node permutation, then extra edges drawn
     # from the remaining pair slots without replacement.
-    order = rng.permutation(n)
-    pair_count: dict[tuple[int, int], int] = {}
+    order = rng.permutation(n).tolist()
     edges: list[tuple[int, int]] = []
     for i in range(1, n):
-        a = int(order[int(rng.integers(0, i))])
-        b = int(order[i])
-        tail, head = (a, b) if rng.random() < 0.5 else (b, a)
-        edges.append((tail, head))
-        key = (min(a, b), max(a, b))
-        pair_count[key] = pair_count.get(key, 0) + 1
+        a, b = order[int(rng.integers(0, i))], order[i]
+        edges.append((a, b) if rng.random() < 0.5 else (b, a))
 
-    slots: list[tuple[int, int]] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            free = MAX_PARALLEL_PIPES - pair_count.get((a, b), 0)
-            slots.extend([(a, b)] * free)
     if cfg.extra_edges:
-        picks = rng.choice(len(slots), size=cfg.extra_edges, replace=False)
-        for idx in sorted(int(i) for i in picks):
-            a, b = slots[idx]
-            tail, head = (a, b) if rng.random() < 0.5 else (b, a)
-            edges.append((tail, head))
+        picks = np.sort(rng.choice(_capacity(n), size=cfg.extra_edges, replace=False))
+        lo, hi = _free_slot_pairs(n, np.array(edges), picks)
+        keep = rng.random(cfg.extra_edges) < 0.5
+        edges += [
+            (a, b) if k else (b, a) for a, b, k in zip(lo.tolist(), hi.tolist(), keep.tolist())
+        ]
 
     r_lo, r_hi = cfg.resistance_range
-    pipes = []
-    for k, (tail, head) in enumerate(edges):
-        target_r = float(rng.uniform(r_lo, r_hi))
-        pipes.append(
-            (f"P{k + 1}", node_ids[tail], node_ids[head], params_for_resistance(target_r))
-        )
-
+    targets = rng.uniform(r_lo, r_hi, len(edges)).tolist()
+    pipes = [
+        (f"P{k + 1}", node_ids[tail], node_ids[head], params_for_resistance(r))
+        for k, ((tail, head), r) in enumerate(zip(edges, targets))
+    ]
     return build_network(list(zip(node_ids, roles)), pipes)
 
 

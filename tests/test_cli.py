@@ -135,6 +135,21 @@ class TestGenerate:
         assert code == 64
         assert payload is None
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code = run_cli(["generate", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "seed" in captured.err
+
+    def test_ten_thousand_consumers(self, capsys):
+        code, payload = invoke(
+            capsys, ["generate", "--seed", "3", "--consumers", "10000", "--extra-edges", "5000"]
+        )
+        assert code == 0
+        assert len(payload["nodes"]) == 10_001
+        assert len(payload["pipes"]) == 15_000
+
 
 class TestSolve:
     def test_demand_driven_single_pipe(self, capsys, tmp_path, net_file):

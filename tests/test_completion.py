@@ -1,6 +1,7 @@
 """Tests for the four state-completion solvers and their round-trip closure."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,12 +21,15 @@ from hydrostate import (
     ObservationOverflowError,
     ObservationSet,
     SolverOptions,
+    UnknownNodeError,
     build_network,
     complete_from_forest_flows,
     complete_from_heads,
     complete_from_reservoir_heads_and_flows,
+    demands_from_flows,
     head_loss,
     incidence_matrix,
+    invert_head_loss,
     params_for_resistance,
     random_connected_wds,
     residuals,
@@ -69,6 +73,20 @@ class TestCompleteFromHeads:
     def test_wrong_length(self, single_pipe_net):
         with pytest.raises(ValueError):
             complete_from_heads(single_pipe_net, np.zeros(3))
+
+    def test_closed_form_to_the_bit(self):
+        net = looped_grid(10, 12, seed=4)
+        h = np.random.default_rng(2).uniform(-20.0, 150.0, net.n_nodes)
+        state = complete_from_heads(net, h).state
+        q = invert_head_loss(h[net.tail_indices] - h[net.head_indices], net.resistances)
+        assert state.heads.tobytes() == h.tobytes()
+        assert state.flows.tobytes() == q.tobytes()
+        assert state.demands.tobytes() == demands_from_flows(net, q).tobytes()
+
+    def test_observed_negative_heads_raise_no_warning(self, path_net):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            complete_from_heads(path_net, np.array([100.0, -1.0, -2.0]))
 
 
 class TestCompleteFromReservoirHeadsAndFlows:
@@ -151,6 +169,12 @@ class TestCompleteFromForestFlows:
         with pytest.raises(DecompositionMismatchError, match="exactly once"):
             complete_from_forest_flows(
                 parallel_triangle_net, np.array([100.0]), {"e1": 1.0, "e1p": 0.5}, dec
+            )
+
+    def test_unknown_pipe_id(self, triangle_net):
+        with pytest.raises(UnknownNodeError, match="unknown pipe id: 'nope'"):
+            complete_from_forest_flows(
+                triangle_net, np.array([100.0]), {"nope": 1.0}, EdgeDecomposition(("nope",), ())
             )
 
     def test_defaults_to_canonical_decomposition(self, triangle_net):

@@ -438,3 +438,7 @@ class TestTreeWalk:
     def test_not_a_spanning_forest(self, parallel_triangle_net, forest):
         with pytest.raises(DecompositionMismatchError):
             tree_walk(parallel_triangle_net, forest)
+
+    def test_unknown_pipe_id(self, triangle_net):
+        with pytest.raises(UnknownNodeError, match="unknown pipe id: 'nope'"):
+            tree_walk(triangle_net, ("nope",))
