@@ -17,7 +17,7 @@ import math
 import sys
 from typing import Any
 
-from .completion import CompletionMethod, ObservationSet
+from .completion import CompletionMethod, ObservationSet, require_tolerance
 from .errors import (
     FormatError,
     InconsistentObservationsError,
@@ -72,6 +72,16 @@ def _load_network(path: str) -> Network:
     return network_from_json_dict(_load_json(path))
 
 
+def tolerance(text: str) -> float:
+    """``--tol`` value: a finite number >= 0; anything else is a usage error (exit 64)."""
+    try:
+        value = float(text)
+        require_tolerance(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}") from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hydrostate",
@@ -94,13 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(THEOREMS),
         default="auto",
     )
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=tolerance, default=None)
     p.add_argument("--max-iter", type=int, default=100)
 
     p = sub.add_parser("check", help="check a state against the hydraulic principles")
     p.add_argument("network")
     p.add_argument("--state", required=True)
-    p.add_argument("--tol", type=float, default=SOLVER_TOLERANCE)
+    p.add_argument("--tol", type=tolerance, default=SOLVER_TOLERANCE)
 
     p = sub.add_parser("generate", help="generate a random connected network")
     p.add_argument("--seed", type=int, required=True)

@@ -160,6 +160,15 @@ class SolverOptions:
     random_seed: int | None = None
     max_step_halvings: int = 30
 
+    def __post_init__(self):
+        require_tolerance(self.tolerance)
+
+
+def require_tolerance(tol: float) -> None:
+    """Raise ``ValueError`` unless ``tol`` is a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
 
 @dataclass(frozen=True)
 class SolveReport:
@@ -343,10 +352,11 @@ def complete_from_reservoir_heads_and_flows(
     pipe; on cyclic networks that system is overdetermined, so arbitrary flow
     vectors may admit no solution. Raises
     :class:`InconsistentObservationsError` when a pipe outside the forest
-    breaks the energy law, and :class:`ObservationOverflowError` when the
+    breaks the energy law, :class:`ObservationOverflowError` when the
     head loss of an observed flow, or a head summed from such losses,
-    overflows.
+    overflows, and ``ValueError`` when ``tol`` is not finite and nonnegative.
     """
+    require_tolerance(tol)
     h_r = np.asarray(reservoir_heads, dtype=float)
     q = np.asarray(flows, dtype=float)
     if h_r.shape != (net.n_reservoirs,):

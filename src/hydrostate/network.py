@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    DecompositionMismatchError,
     DisconnectedNetworkError,
     DuplicateIdError,
     FormatError,
@@ -180,6 +181,11 @@ class Network:
     def head_band(self) -> "HeadBand":
         """Block-tridiagonal layout of the consumer-head matrix ``Bc diag(w) Bc^T``."""
         return _head_band(self)
+
+    @cached_property
+    def grounded_tree(self) -> "GroundedTree":
+        """Canonical spanning forest with the reservoirs grounded, oriented from the ground."""
+        return _grounded_tree(self)
 
     def role_of(self, node_id: str) -> NodeRole:
         return self.nodes[self.node_index[node_id]].role
@@ -451,6 +457,78 @@ def join_sets(parent: list[int], a: int, b: int) -> bool:
         return False
     parent[a] = b
     return True
+
+
+def grounded_forest(net: Network, positions: Iterable[int]) -> list[int]:
+    """The pipe positions of ``positions`` that join two components, in the order given.
+
+    One union-find pass over the graph with every reservoir grounded into one
+    node. A pipe's consumer-row column is independent of the columns kept
+    before it exactly when the pipe joins two components, so this is the
+    greedy rank scan without elimination.
+    """
+    tails, heads = net.tail_indices.tolist(), net.head_indices.tolist()
+    parent = list(range(net.n_nodes))
+    reservoirs = net.reservoir_indices.tolist()
+    for r in reservoirs:
+        parent[r] = reservoirs[0]
+    return [j for j in positions if join_sets(parent, tails[j], heads[j])]
+
+
+def orient_forest(
+    net: Network, positions: Sequence[int], grounded: Sequence[int]
+) -> tuple[tuple[int, int, int, int], ...]:
+    """Orient the forest pipes at ``positions`` breadth-first from the ``grounded`` node indices.
+
+    Step ``(child, parent, pipe, sign)`` has ``sign`` +1 when ``pipe`` points to ``child``. Raises
+    :class:`DecompositionMismatchError` unless the forest spans the graph with ``grounded`` merged.
+    """
+    if not positions and len(grounded) == net.n_nodes:
+        return ()
+    queue = np.asarray(grounded).tolist()
+    tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
+    incident: list[list[int]] = [[] for _ in range(net.n_nodes)]
+    for j in positions:
+        incident[tails[j]].append(j)
+        incident[ends[j]].append(j)
+    reached, steps = set(queue), []
+    for parent in queue:
+        for j in incident[parent]:
+            child, sign = (ends[j], 1) if tails[j] == parent else (tails[j], -1)
+            if child not in reached:
+                reached.add(child)
+                queue.append(child)
+                steps.append((child, parent, j, sign))
+    # Each reached node takes one forest pipe: any pipe left over closes a cycle.
+    if len(steps) != len(positions) or len(queue) != net.n_nodes:
+        raise DecompositionMismatchError("the forest must reach every ungrounded node exactly once")
+    return tuple(steps)
+
+
+@dataclass(frozen=True, eq=False)
+class GroundedTree:
+    """The canonical forest/chord split of the pipes and the forest's orientation.
+
+    ``forest`` holds the pipes that :func:`grounded_forest` keeps scanning all
+    pipes in canonical order, ``chords`` the others in canonical order, and
+    ``steps`` is :func:`orient_forest` of the forest from the reservoirs.
+    """
+
+    forest: tuple[str, ...]
+    chords: tuple[str, ...]
+    steps: tuple[tuple[int, int, int, int], ...]
+
+
+def _grounded_tree(net: Network) -> GroundedTree:
+    kept = grounded_forest(net, range(net.n_pipes))
+    assert len(kept) == net.n_consumers, "a connected network has a spanning forest"
+    chosen = set(kept)
+    ids = net.pipe_ids
+    return GroundedTree(
+        tuple(ids[j] for j in kept),
+        tuple(pid for j, pid in enumerate(ids) if j not in chosen),
+        orient_forest(net, kept, net.reservoir_indices),
+    )
 
 
 def _check_connected(net: Network) -> None:

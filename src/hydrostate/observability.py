@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .completion import (
     CompletionMethod, ObservationSet, SolveReport, SolverOptions, check_observations,
     complete_from_forest_flows, complete_from_heads, complete_from_reservoir_heads_and_flows,
-    solve_reservoir_heads_demands,
+    require_tolerance, solve_reservoir_heads_demands,
 )
 from .errors import NotCoveredError
 from .network import Network
@@ -75,8 +75,7 @@ def classify_observation_pattern(net: Network, pattern: ObservationSet) -> Obser
                 "reservoir heads and all consumer demands determine the state uniquely",
             )
 
-        observed_flows = tuple(pid for pid in net.pipe_ids if pid in pattern.flows)
-        independent = greedy_independent_columns(net, observed_flows)
+        independent = greedy_independent_columns(net, pattern.flows)
         rank = len(independent)
         if rank == n_c:
             return ObservabilityVerdict(
@@ -118,8 +117,11 @@ def complete(
     """Complete the state by one route (by default the classifier's), then check every observation.
 
     ``tol`` (default ``DEFAULT_IMAGE_TOL``, or the solver's when demand-driven) serves both.
-    Raises :class:`NotCoveredError` when no route applies, besides the errors of the route.
+    Raises :class:`NotCoveredError` when no route applies, besides the errors of the route, and
+    ``ValueError`` when ``tol`` is not finite and nonnegative.
     """
+    if tol is not None:
+        require_tolerance(tol)
     forest = None
     if theorem is None:
         verdict = classify_observation_pattern(net, obs)
@@ -141,7 +143,7 @@ def complete(
         report = solve_reservoir_heads_demands(net, h_r, d, options)
     else:
         if forest is None:
-            forest = greedy_independent_columns(net, [p for p in net.pipe_ids if p in obs.flows])
+            forest = greedy_independent_columns(net, obs.flows)
         if len(forest) < net.n_consumers:
             message = "observed flows do not span a forest reaching every consumer"
             detail = {"error": "rank_deficient_flows", "message": message, "flow_rank": len(forest)}

@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DecompositionMismatchError, EmptySubsetError, UnknownNodeError
-from .network import IncidenceMatrix, Network, incidence_matrix, join_sets
+from .errors import EmptySubsetError, UnknownNodeError
+from .network import IncidenceMatrix, Network, grounded_forest, incidence_matrix, orient_forest
 
 #: Default relative tolerance of the image-membership test.
 DEFAULT_IMAGE_TOL = 1e-9
@@ -122,28 +122,13 @@ def pipe_positions(net: Network, pipe_ids: Iterable[str]) -> list[int]:
 def _forest_scan(net: Network, pipe_ids: Iterable[str]) -> tuple[str, ...]:
     """The pipes of ``pipe_ids`` that join two components, in the order given.
 
-    One union-find pass over the graph with every reservoir grounded into one
-    node. A pipe's consumer-row column is independent of the columns kept
-    before it exactly when the pipe joins two components, so this is the
-    greedy rank scan without elimination.
+    One :func:`grounded_forest` pass over the graph with the reservoirs grounded.
     """
-    index = net.pipe_index
-    tails, heads = net.tail_indices.tolist(), net.head_indices.tolist()
-    parent = list(range(net.n_nodes))
-    ground = int(net.reservoir_indices[0])
-    for r in net.reservoir_indices.tolist():
-        parent[r] = ground
-    kept = []
-    for pid in pipe_ids:
-        j = index.get(pid)
-        if j is None:
-            raise UnknownNodeError(f"unknown pipe id: {pid!r}")
-        if join_sets(parent, tails[j], heads[j]):
-            kept.append(pid)
-    return tuple(kept)
+    ids = net.pipe_ids
+    return tuple(ids[j] for j in grounded_forest(net, pipe_positions(net, pipe_ids)))
 
 
-def greedy_independent_columns(net: Network, candidates: Sequence[str]) -> tuple[str, ...]:
+def greedy_independent_columns(net: Network, candidates: Iterable[str]) -> tuple[str, ...]:
     """Greedy maximal subset of ``candidates`` with independent consumer-row columns.
 
     Scans candidates in canonical pipe order and keeps a pipe exactly when it
@@ -152,11 +137,12 @@ def greedy_independent_columns(net: Network, candidates: Sequence[str]) -> tuple
     one union-find pass; by the matroid greedy argument it keeps the same
     pipes as a scan by exact rank.
     """
-    candidate_set = set(candidates)
-    unknown = [pid for pid in candidate_set if pid not in net.pipe_index]
-    if unknown:
-        raise UnknownNodeError(f"unknown pipe id: {sorted(unknown)[0]!r}")
-    return _forest_scan(net, (pid for pid in net.pipe_ids if pid in candidate_set))
+    wanted, ids = set(candidates), net.pipe_ids
+    positions = [j for j, pid in enumerate(ids) if pid in wanted]
+    if len(positions) < len(wanted):
+        unknown = sorted(pid for pid in wanted if pid not in net.pipe_index)
+        raise UnknownNodeError(f"unknown pipe id: {unknown[0]!r}")
+    return tuple(ids[j] for j in grounded_forest(net, positions))
 
 
 def flow_pattern_rank(net: Network, pipe_ids: Sequence[str]) -> int:
@@ -171,15 +157,13 @@ def flow_pattern_rank(net: Network, pipe_ids: Sequence[str]) -> int:
 def select_independent_edges(net: Network) -> EdgeDecomposition:
     """Deterministic forest/chord decomposition of all pipes.
 
-    Greedy scan in canonical pipe order; existence of a full selection is
+    Greedy scan in canonical pipe order, computed once per network
+    (:attr:`Network.grounded_tree`); existence of a full selection is
     guaranteed because the consumer rows have rank equal to the consumer
     count.
     """
-    independent = greedy_independent_columns(net, net.pipe_ids)
-    assert len(independent) == net.n_consumers
-    chosen = set(independent)
-    dependent = tuple(pid for pid in net.pipe_ids if pid not in chosen)
-    return EdgeDecomposition(independent, dependent)
+    tree = net.grounded_tree
+    return EdgeDecomposition(tree.forest, tree.chords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,38 +243,29 @@ def tree_walk(
     """Orient ``forest`` (default: the canonical one) breadth-first from ``grounded`` (reservoirs).
 
     Step ``(child, parent, pipe, sign)`` has ``sign`` +1 when ``pipe`` points to ``child``. Raises
-    :class:`DecompositionMismatchError` unless it spans the graph with ``grounded`` merged.
+    :class:`DecompositionMismatchError` unless it spans the graph with ``grounded`` merged. The
+    canonical forest from the reservoirs is oriented once per network
+    (:attr:`Network.grounded_tree`); any other forest or grounded set is oriented afresh.
     """
-    forest = _forest_scan(net, net.pipe_ids) if forest is None else forest
-    grounded = net.reservoir_indices if grounded is None else grounded
-    if not forest and len(grounded) == net.n_nodes:
-        return ()
-    queue = np.asarray(grounded).tolist()
-    tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
-    incident: list[list[int]] = [[] for _ in range(net.n_nodes)]
-    for j in pipe_positions(net, forest):
-        incident[tails[j]].append(j)
-        incident[ends[j]].append(j)
-    reached, steps = set(queue), []
-    for parent in queue:
-        for j in incident[parent]:
-            child, sign = (ends[j], 1) if tails[j] == parent else (tails[j], -1)
-            if child not in reached:
-                reached.add(child)
-                queue.append(child)
-                steps.append((child, parent, j, sign))
-    # Each reached node takes one forest pipe: any pipe left over closes a cycle.
-    if len(steps) != len(forest) or len(queue) != net.n_nodes:
-        raise DecompositionMismatchError("the forest must reach every ungrounded node exactly once")
-    return tuple(steps)
+    reservoirs = net.reservoir_indices
+    if grounded is None or grounded is reservoirs or np.array_equal(grounded, reservoirs):
+        tree = net.grounded_tree
+        if forest is None or tuple(forest) == tree.forest:
+            return tree.steps
+        grounded = reservoirs
+    elif forest is None:
+        forest = net.grounded_tree.forest
+    return orient_forest(net, pipe_positions(net, forest), grounded)
 
 
 def walk_heads(steps, heads: np.ndarray, loss: np.ndarray) -> np.ndarray:
     """Every head from the grounded ones: ``h[child] = h[parent] - sign * loss[pipe]``."""
-    h = np.array(heads, dtype=float)
+    if not steps:  # every node grounded: skip the list round trip
+        return np.array(heads, dtype=float)
+    h, loss = np.asarray(heads, dtype=float).tolist(), np.asarray(loss, dtype=float).tolist()
     for child, parent, pipe, sign in steps:
         h[child] = h[parent] - sign * loss[pipe]
-    return h
+    return np.array(h)
 
 
 def walk_flows(steps, demands: np.ndarray, n_pipes: int) -> np.ndarray:

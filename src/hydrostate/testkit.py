@@ -9,6 +9,8 @@ precision and serve as the oracle for every round-trip test.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,12 +56,22 @@ def _capacity(n: int) -> int:
 
 
 def _validate(cfg: GeneratorConfig) -> None:
+    for name in ("seed", "n_reservoirs", "n_consumers", "extra_edges"):
+        value = getattr(cfg, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise InfeasibleConfigError(f"{name} must be an integer, got {value!r}") from None
     if cfg.seed < 0:
         raise InfeasibleConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.n_reservoirs < 1 or cfg.n_consumers < 1:
         raise InfeasibleConfigError("need at least one reservoir and one consumer")
     if cfg.extra_edges < 0:
         raise InfeasibleConfigError("extra_edges must be nonnegative")
+    for name in ("head_range", "resistance_range"):
+        value = getattr(cfg, name)
+        if not all(math.isfinite(v) for v in value):
+            raise InfeasibleConfigError(f"{name} must be finite, got {value!r}")
     lo, hi = cfg.head_range
     if not lo <= hi:
         raise InfeasibleConfigError("head_range must be a nonempty interval")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface via run_cli."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -439,6 +440,48 @@ class TestNonFiniteInput:
         assert capsys.readouterr().out == ""
 
 
+class TestTolerance:
+    @pytest.fixture
+    def contradicted(self, tmp_path, triangle_net):
+        truth = random_ground_truth_state(triangle_net, seed=4)
+        flows = {pid: float(truth.flows[i]) for i, pid in enumerate(triangle_net.pipe_ids)}
+        flows["e3"] += 0.1
+        return write_json(
+            tmp_path / "obs.json", {"heads": {"R": float(truth.heads[0])}, "flows": flows}
+        )
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9", "loose"])
+    @pytest.mark.parametrize("theorem", ["auto", "heads-flows", "demand-driven"])
+    def test_solve_rejects_bad_tolerance(self, capsys, triangle_file, contradicted, theorem, tol):
+        # ``--tol=`` keeps argparse from reading a negative value as an option.
+        argv = ["solve", triangle_file, "--obs", contradicted, "--theorem", theorem, f"--tol={tol}"]
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "tolerance must be finite and >= 0" in captured.err
+
+    def test_solve_takes_zero_and_finite_tolerance(self, capsys, triangle_file, contradicted):
+        # The chord e3 is off by 0.1, which only a huge tolerance forgives.
+        for tol, expected in (("0", 2), ("1e-9", 2), ("1e6", 0)):
+            code = run_cli(["solve", triangle_file, "--obs", contradicted, "--tol", tol])
+            capsys.readouterr()
+            assert code == expected
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "loose"])
+    def test_check_rejects_bad_tolerance(self, capsys, tmp_path, triangle_file, triangle_net, tol):
+        doc = state_to_json_dict(triangle_net, random_ground_truth_state(triangle_net, seed=5))
+        state = write_json(tmp_path / "state.json", doc)
+        code = run_cli(["check", triangle_file, "--state", state, f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "tolerance must be finite and >= 0" in captured.err
+        code, payload = invoke(capsys, ["check", triangle_file, "--state", state, "--tol", "0.001"])
+        assert code == 0
+        assert payload["tolerance"] == 0.001
+
+
 class TestCheck:
     def test_ground_truth_passes(self, capsys, tmp_path, triangle_file, triangle_net):
         truth = random_ground_truth_state(triangle_net, seed=5)
@@ -518,3 +561,53 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert child.stdout.strip() == "[]"
+
+
+# --- byte-identity guard on the linear routes ---------------------------------
+
+#: sha256 of ``hydrostate solve`` stdout and its exit code per (network seed, input
+#: kind), computed on the implementation before the grounded tree was cached. Any
+#: change to the tree walk, the forest scan or the JSON output shows up here.
+SOLVE_STDOUT_DIGESTS = {
+    (31, "all_heads"): (0, "0f24067adcce1ab905233a068929da937e4003a3fdb1ab3f402656810fb67e3d"),
+    (31, "forest_flows"): (0, "d2cf39360db7997b2f0cd0d3366e01042d8ae81ce548b0b042f6d23a931becf8"),
+    (31, "heads_flows"): (0, "04e1f4cd3d30566a50d125918e07cf03a6758b5f482fb7d8afeae42d0144d82f"),
+    (31, "contradicted"): (2, "7b3842b0b50b7de9858a34dcd3d223ab435c58a4f6b47bc5bf08783fafbc9fc6"),
+    (47, "all_heads"): (0, "60c01c26ed510336f10d3cca7cd6104e91c5d00bac864b3eff30d853511085dd"),
+    (47, "forest_flows"): (0, "6c261be8aea900f52d6f9736e5f5cc8574985fad80c3116dacca57d87e66c91f"),
+    (47, "heads_flows"): (0, "c45e96b6b4dd3649685e4b451f6a1d29932943f5c773ce66fbba495472ae51ba"),
+    (47, "contradicted"): (2, "2cd3e45f2eee8e31a0a930f333d6b72573e3c6a9d50cd72ea06a448582e1db54"),
+}
+
+
+def _solve_inputs(net_seed):
+    """The network and the four linear-route observation documents of one seeded network."""
+    net = random_connected_wds(GeneratorConfig(net_seed, 2, 15, 8))
+    truth = random_ground_truth_state(net, seed=net_seed + 100)
+    heads = {nid: float(truth.heads[net.node_index[nid]]) for nid in net.reservoir_ids}
+    flows = {pid: float(truth.flows[j]) for j, pid in enumerate(net.pipe_ids)}
+    dec = hydrostate.select_independent_edges(net)
+    contradicted = dict(flows)
+    contradicted[dec.dependent[0]] += 1e-3
+    observations = {
+        "all_heads": ("auto", {"heads": dict(zip(net.node_ids, map(float, truth.heads)))}),
+        "forest_flows": ("auto", {"heads": heads, "flows": {p: flows[p] for p in dec.independent}}),
+        "heads_flows": ("heads-flows", {"heads": heads, "flows": flows}),
+        "contradicted": ("auto", {"heads": heads, "flows": contradicted}),
+    }
+    return net, observations
+
+
+def _solve_digest(capsys, tmp_path, net_seed, kind):
+    net, observations = _solve_inputs(net_seed)
+    theorem, obs = observations[kind]
+    net_path = write_json(tmp_path / "net.json", network_to_json_dict(net))
+    obs_path = write_json(tmp_path / "obs.json", obs)
+    code = run_cli(["solve", net_path, "--obs", obs_path, "--theorem", theorem])
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["all_heads", "forest_flows", "heads_flows", "contradicted"])
+@pytest.mark.parametrize("net_seed", [31, 47])
+def test_solve_stdout_is_pinned(capsys, tmp_path, net_seed, kind):
+    assert _solve_digest(capsys, tmp_path, net_seed, kind) == SOLVE_STDOUT_DIGESTS[net_seed, kind]

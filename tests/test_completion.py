@@ -120,6 +120,18 @@ class TestCompleteFromReservoirHeadsAndFlows:
         assert exc_info.value.residual > 1e-3
 
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_nonnegative(self, triangle_net, tol):
+        truth = random_ground_truth_state(triangle_net, seed=3)
+        h_r = truth.reservoir_heads(triangle_net)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            complete_from_reservoir_heads_and_flows(triangle_net, h_r, truth.flows, tol)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            SolverOptions(tolerance=tol)
+        SolverOptions(tolerance=0.0)
+        complete_from_reservoir_heads_and_flows(triangle_net, h_r, truth.flows, 1e-6)
+
+
 class TestCompleteFromForestFlows:
     def test_series_line_triangular_solve(self, path_net):
         dec = select_independent_edges(path_net)

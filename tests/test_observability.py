@@ -240,3 +240,17 @@ class TestComplete:
             complete(triangle_net, obs, CompletionMethod.FOREST_FLOWS)
         assert forest.value.detail["error"] == "rank_deficient_flows"
         assert forest.value.detail["flow_rank"] == 1
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    @pytest.mark.parametrize(
+        "theorem",
+        [None, CompletionMethod.ALL_HEADS, CompletionMethod.HEADS_AND_FLOWS,
+         CompletionMethod.FOREST_FLOWS, CompletionMethod.DEMAND_DRIVEN],
+    )
+    def test_tolerance_must_be_finite_and_nonnegative(self, triangle_net, theorem, tol):
+        net = triangle_net
+        truth = random_ground_truth_state(net, seed=2)
+        obs = _pattern_from_state(net, truth, net.node_ids, net.pipe_ids, net.consumer_ids)
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            complete(net, obs, theorem, tol)
+        assert complete(net, obs, theorem, 1e-6).theorem is (theorem or CompletionMethod.ALL_HEADS)

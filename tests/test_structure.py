@@ -15,6 +15,8 @@ from hydrostate import (
     SolverOptions,
     UnknownNodeError,
     build_network,
+    complete_from_forest_flows,
+    complete_from_reservoir_heads_and_flows,
     completion,
     cycle_space_basis,
     head_loss,
@@ -25,6 +27,8 @@ from hydrostate import (
     select_independent_edges,
     submatrix_rank,
 )
+from hydrostate import network, structure
+from hydrostate.network import orient_forest
 from hydrostate.structure import (
     DEFAULT_IMAGE_TOL,
     _forest_scan,
@@ -32,11 +36,12 @@ from hydrostate.structure import (
     greedy_independent_columns,
     integer_determinant,
     integer_rank,
+    pipe_positions,
     tree_walk,
     walk_flows,
     walk_heads,
 )
-from hydrostate.testkit import MAX_PARALLEL_PIPES
+from hydrostate.testkit import MAX_PARALLEL_PIPES, random_ground_truth_state
 
 from conftest import (
     edge_subset_is_forest,
@@ -442,3 +447,99 @@ class TestTreeWalk:
     def test_unknown_pipe_id(self, triangle_net):
         with pytest.raises(UnknownNodeError, match="unknown pipe id: 'nope'"):
             tree_walk(triangle_net, ("nope",))
+
+
+# --- the grounded tree, oriented once per network -----------------------------
+
+
+def assert_valid_orientation(net, forest, grounded, steps):
+    """Every step reaches a new node from a reached one through a forest pipe, with its sign."""
+    reached = set(grounded)
+    forest_positions = {net.pipe_index[pid] for pid in forest}
+    for child, parent, pipe, sign in steps:
+        assert parent in reached and child not in reached and pipe in forest_positions
+        tail, head = int(net.tail_indices[pipe]), int(net.head_indices[pipe])
+        assert (tail, head) == ((parent, child) if sign == 1 else (child, parent))
+        reached.add(child)
+    assert len(steps) == len(forest) and reached == set(range(net.n_nodes))
+
+
+class TestGroundedTree:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_cache_matches_fresh_orientation(self, data):
+        net = data.draw(shuffled_networks())
+        tree = net.grounded_tree
+        reservoirs = net.reservoir_indices.tolist()
+        canonical = _forest_scan(net, net.pipe_ids)
+        assert tree.forest == canonical
+        assert tree.chords == tuple(pid for pid in net.pipe_ids if pid not in canonical)
+        assert tree.steps == orient_forest(net, pipe_positions(net, canonical), reservoirs)
+        assert_valid_orientation(net, canonical, reservoirs, tree.steps)
+        assert select_independent_edges(net) == EdgeDecomposition(tree.forest, tree.chords)
+
+        # The canonical forest from the reservoirs, however passed, reads the cache.
+        assert tree_walk(net) is tree.steps
+        assert tree_walk(net, canonical) is tree.steps
+        assert tree_walk(net, list(canonical), list(reservoirs)) is tree.steps
+        assert tree_walk(net, canonical, net.reservoir_indices) is tree.steps
+
+        # A forest from a permuted scan, or another grounded order, is walked afresh.
+        permuted = _forest_scan(net, data.draw(st.permutations(net.pipe_ids)))
+        walked = tree_walk(net, permuted)
+        assert walked == orient_forest(net, pipe_positions(net, permuted), reservoirs)
+        assert_valid_orientation(net, permuted, reservoirs, walked)
+        if permuted != canonical:
+            assert walked is not tree.steps
+        order = data.draw(st.permutations(reservoirs))
+        regrounded = tree_walk(net, canonical, order)
+        assert_valid_orientation(net, canonical, order, regrounded)
+        assert (regrounded is tree.steps) == (order == reservoirs)
+
+        # A forest that does not span the grounded graph still raises.
+        with pytest.raises(DecompositionMismatchError):
+            tree_walk(net, permuted[1:])
+        if tree.chords:
+            with pytest.raises(DecompositionMismatchError):
+                tree_walk(net, permuted + tree.chords[:1])
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Count the union-find scans and the orientations, wherever they are called from."""
+        calls = {"scan": 0, "orient": 0}
+
+        def counted(kind, fn):
+            def wrapper(*args):
+                calls[kind] += 1
+                return fn(*args)
+            return wrapper
+
+        scan = counted("scan", network.grounded_forest)
+        orient = counted("orient", network.orient_forest)
+        for module in (network, structure):
+            monkeypatch.setattr(module, "grounded_forest", scan)
+            monkeypatch.setattr(module, "orient_forest", orient)
+        return calls
+
+    def test_second_linear_solve_runs_no_scan(self, counts):
+        net = looped_grid(6, 7, seed=3)
+        truth = random_ground_truth_state(net, seed=8)
+        h_r = truth.reservoir_heads(net)
+        assert counts == {"scan": 0, "orient": 1}  # the truth grounds every node, with no forest
+        counts.update(orient=0)
+        first = complete_from_reservoir_heads_and_flows(net, h_r, truth.flows)
+        assert counts == {"scan": 1, "orient": 1}
+        second = complete_from_reservoir_heads_and_flows(net, h_r, truth.flows)
+        assert counts == {"scan": 1, "orient": 1}
+        assert np.array_equal(first.state.heads, second.state.heads)
+
+        # The forest route on the canonical forest, membership and the decomposition
+        # read the same cache.
+        dec = select_independent_edges(net)
+        complete_from_forest_flows(
+            net, h_r, {pid: truth.flows[net.pipe_index[pid]] for pid in dec.independent}, dec
+        )
+        h = truth.heads.copy()
+        h[net.reservoir_indices] = 0.0
+        assert image_membership(net, h[net.tail_indices] - h[net.head_indices]).member
+        assert counts == {"scan": 1, "orient": 1}

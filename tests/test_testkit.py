@@ -147,6 +147,46 @@ class TestRandomConnectedWds:
         with pytest.raises(InfeasibleConfigError, match="seed"):
             random_connected_wds(GeneratorConfig(seed=-1))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"seed": 1.5},
+            {"seed": 1.0},
+            {"seed": "1"},
+            {"n_reservoirs": 1.0},
+            {"n_consumers": 2.0},
+            {"extra_edges": 0.5},
+            {"extra_edges": None},
+        ],
+        ids=["float_seed", "integral_float_seed", "str_seed", "float_reservoirs",
+             "float_consumers", "float_extra_edges", "none_extra_edges"],
+    )
+    def test_non_integer_count_or_seed_is_infeasible(self, fields):
+        name = next(iter(fields))
+        cfg = GeneratorConfig(**{"seed": 1, "n_consumers": 2, **fields})
+        with pytest.raises(InfeasibleConfigError, match=f"{name} must be an integer"):
+            random_connected_wds(cfg)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = GeneratorConfig(seed=np.int64(4), n_reservoirs=np.int32(1), n_consumers=np.uint8(3))
+        assert network_to_json_dict(random_connected_wds(cfg)) == network_to_json_dict(
+            random_connected_wds(GeneratorConfig(seed=4, n_reservoirs=1, n_consumers=3))
+        )
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"resistance_range": (0.5, float("inf"))},
+            {"resistance_range": (float("nan"), 5.0)},
+            {"head_range": (50.0, float("inf"))},
+            {"head_range": (float("-inf"), 150.0)},
+        ],
+        ids=["inf_resistance", "nan_resistance", "inf_head", "minus_inf_head"],
+    )
+    def test_non_finite_range_is_infeasible(self, fields):
+        with pytest.raises(InfeasibleConfigError, match="must be finite"):
+            random_connected_wds(GeneratorConfig(seed=1, n_consumers=2, **fields))
+
     def test_parallel_cap_respected(self):
         cfg = GeneratorConfig(seed=9, n_reservoirs=1, n_consumers=3, extra_edges=8)
         net = random_connected_wds(cfg)
