@@ -57,6 +57,7 @@ from .network import (
     PipeParams,
     build_network,
     incidence_matrix,
+    network_from_columns,
     network_from_json_dict,
     network_to_json_dict,
     resistance,

@@ -82,6 +82,17 @@ def tolerance(text: str) -> float:
     return value
 
 
+def iteration_count(text: str) -> int:
+    """``--max-iter`` value: an integer >= 0; anything else is a usage error (exit 64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value >= 0:
+        return value
+    raise argparse.ArgumentTypeError(f"iteration count must be an integer >= 0, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hydrostate",
@@ -105,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--tol", type=tolerance, default=None)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--max-iter", type=iteration_count, default=100)
 
     p = sub.add_parser("check", help="check a state against the hydraulic principles")
     p.add_argument("network")

@@ -129,14 +129,19 @@ class ObservationSet:
             raw = doc.get(key, {})
             if not isinstance(raw, Mapping):
                 raise FormatError(f"observation section {key!r} must be an object")
-            try:
-                values = {str(k): float(v) for k, v in raw.items()}
-            except (TypeError, ValueError):
-                raise FormatError(f"non-numeric value in observation section {key!r}") from None
-            for k, v in values.items():
-                if not math.isfinite(v):
+            values = {}
+            for k, v in raw.items():
+                if not isinstance(k, str):
+                    raise FormatError(f"non-string id {k!r} in observation section {key!r}")
+                # JSON numbers only: a boolean or a string is not read as one.
+                try:
+                    values[k] = math.nan if isinstance(v, (bool, str)) else float(v)
+                except (TypeError, ValueError, OverflowError):
+                    values[k] = math.nan
+                if not math.isfinite(values[k]):
                     raise FormatError(
-                        f"non-finite value {v!r} at {k!r} in observation section {key!r}"
+                        f"non-finite or non-numeric value {v!r} at {k!r}"
+                        f" in observation section {key!r}"
                     )
             return values
         return cls(heads=section("heads"), flows=section("flows"), demands=section("demands"))
@@ -162,6 +167,9 @@ class SolverOptions:
 
     def __post_init__(self):
         require_tolerance(self.tolerance)
+        for name in ("max_iterations", "max_step_halvings"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
 
 def require_tolerance(tol: float) -> None:

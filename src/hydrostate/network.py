@@ -1,10 +1,12 @@
 """Graph model of a water distribution network.
 
 A network is a finite connected graph of reservoir and consumer nodes joined
-by pipes. Every physical pipe is stored once, with the orientation given at
-construction time as its canonical orientation; flow signs downstream are
-interpreted relative to that orientation. Networks and incidence matrices are
-immutable after construction and safe to share between threads.
+by pipes. It is stored as columns: node ids and roles, pipe ids, the tail and
+head node index of every pipe, and its length, diameter and roughness. Every
+physical pipe is stored once, with the orientation given at construction time
+as its canonical orientation; flow signs downstream are interpreted relative
+to that orientation. Networks and incidence matrices are immutable after
+construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -75,42 +77,62 @@ def resistance(params: PipeParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class Node:
-    id: str
-    role: NodeRole
+def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
+    """``values ** exponent`` by the scalar ``pow``, evaluated once per distinct value.
+
+    numpy's vectorised power may differ from the scalar one in the last bit;
+    the scalar one keeps :attr:`Network.resistances` equal to
+    :func:`resistance`, and pipes mostly share a few diameters and roughnesses.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([v**exponent for v in distinct.tolist()])[inverse]
 
 
-@dataclass(frozen=True)
-class Pipe:
-    """A pipe in canonical orientation ``tail -> head``."""
-
-    id: str
-    tail: str
-    head: str
-    params: PipeParams
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    """A validated water distribution network.
+    """A validated water distribution network, stored as columns.
 
-    Node and pipe order is the insertion order of the building spec; every
-    vector and matrix in this package indexes nodes and pipes in that order.
-    Instances are created through :func:`build_network`, which enforces the
-    structural invariants (connectivity, role counts, positive parameters).
+    Node ``i`` is ``node_ids[i]`` with ``roles[i]``. Pipe ``j`` is
+    ``pipe_ids[j]``, oriented from node ``tail_indices[j]`` to node
+    ``head_indices[j]`` (its canonical orientation), with ``lengths[j]``,
+    ``diameters[j]`` and ``roughnesses[j]``. Node and pipe order is the
+    insertion order of the building spec; every vector and matrix in this
+    package indexes nodes and pipes in that order. The arrays are read-only.
+    Instances are created through :func:`network_from_columns`, which
+    enforces the structural invariants (connectivity, role counts, positive
+    parameters). Two networks are equal when their columns are; networks are
+    not hashable.
     """
 
-    nodes: tuple[Node, ...]
-    pipes: tuple[Pipe, ...]
+    node_ids: tuple[str, ...]
+    roles: tuple[NodeRole, ...]
+    pipe_ids: tuple[str, ...]
+    tail_indices: np.ndarray
+    head_indices: np.ndarray
+    lengths: np.ndarray
+    diameters: np.ndarray
+    roughnesses: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Network):
+            return NotImplemented
+        return (
+            self.node_ids == other.node_ids
+            and self.roles == other.roles
+            and self.pipe_ids == other.pipe_ids
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("tail_indices", "head_indices", "lengths", "diameters", "roughnesses")
+            )
+        )
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_ids)
 
     @property
     def n_pipes(self) -> int:
-        return len(self.pipes)
+        return len(self.pipe_ids)
 
     @property
     def n_reservoirs(self) -> int:
@@ -121,59 +143,40 @@ class Network:
         return len(self.consumer_ids)
 
     @cached_property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
-
-    @cached_property
-    def pipe_ids(self) -> tuple[str, ...]:
-        return tuple(p.id for p in self.pipes)
-
-    @cached_property
     def reservoir_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.role is NodeRole.RESERVOIR)
+        return tuple(self.node_ids[i] for i in self.reservoir_indices.tolist())
 
     @cached_property
     def consumer_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.role is NodeRole.CONSUMER)
+        return tuple(self.node_ids[i] for i in self.consumer_indices.tolist())
 
     @cached_property
     def node_index(self) -> dict[str, int]:
-        return {n.id: i for i, n in enumerate(self.nodes)}
+        return dict(zip(self.node_ids, range(self.n_nodes)))
 
     @cached_property
     def pipe_index(self) -> dict[str, int]:
-        return {p.id: i for i, p in enumerate(self.pipes)}
-
-    @cached_property
-    def tail_indices(self) -> np.ndarray:
-        idx = np.array([self.node_index[p.tail] for p in self.pipes], dtype=np.intp)
-        idx.setflags(write=False)
-        return idx
-
-    @cached_property
-    def head_indices(self) -> np.ndarray:
-        idx = np.array([self.node_index[p.head] for p in self.pipes], dtype=np.intp)
-        idx.setflags(write=False)
-        return idx
+        return dict(zip(self.pipe_ids, range(self.n_pipes)))
 
     @cached_property
     def consumer_indices(self) -> np.ndarray:
         """Node positions of the consumers, in ``consumer_ids`` order."""
-        idx = np.array([self.node_index[nid] for nid in self.consumer_ids], dtype=np.intp)
-        idx.setflags(write=False)
-        return idx
+        return _positions_of(self.roles, NodeRole.CONSUMER)
 
     @cached_property
     def reservoir_indices(self) -> np.ndarray:
         """Node positions of the reservoirs, in ``reservoir_ids`` order."""
-        idx = np.array([self.node_index[nid] for nid in self.reservoir_ids], dtype=np.intp)
-        idx.setflags(write=False)
-        return idx
+        return _positions_of(self.roles, NodeRole.RESERVOIR)
 
     @cached_property
     def resistances(self) -> np.ndarray:
-        """Resistance coefficient per pipe, canonical order."""
-        r = np.array([resistance(p.params) for p in self.pipes], dtype=float)
+        """Resistance coefficient per pipe, canonical order, bit-identical to :func:`resistance`."""
+        r = (
+            RESISTANCE_COEFFICIENT
+            * self.lengths
+            * _powers(self.diameters, RESISTANCE_DIAMETER_EXPONENT)
+            * _powers(self.roughnesses, -HAZEN_WILLIAMS_EXPONENT)
+        )
         r.setflags(write=False)
         return r
 
@@ -188,7 +191,13 @@ class Network:
         return _grounded_tree(self)
 
     def role_of(self, node_id: str) -> NodeRole:
-        return self.nodes[self.node_index[node_id]].role
+        return self.roles[self.node_index[node_id]]
+
+
+def _positions_of(roles: tuple[NodeRole, ...], role: NodeRole) -> np.ndarray:
+    idx = np.array([i for i, r in enumerate(roles) if r is role], dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
 
 
 #: Smallest block of :class:`HeadBand`. Each block costs one Python-level
@@ -390,55 +399,120 @@ def consumer_outflow(net: Network, pipe_values: np.ndarray) -> np.ndarray:
 NodeSpec = tuple[str, "NodeRole | str"]
 PipeSpec = tuple[str, str, str, PipeParams]
 
+#: Role spellings the column test resolves without :meth:`NodeRole.parse`.
+_ROLES = {key: role for role in NodeRole for key in (role, role.value)}
+_PARAMETERS = ("length", "diameter", "roughness")
+
 
 def build_network(nodes: Iterable[NodeSpec], pipes: Iterable[PipeSpec]) -> Network:
     """Validate and build a network from node and pipe specs.
 
     ``nodes`` is an iterable of ``(id, role)`` pairs; ``pipes`` an iterable of
     ``(id, tail, head, PipeParams)`` tuples whose order fixes the canonical
-    pipe orientation. Raises a distinct :class:`NetworkValidationError`
-    subclass per defect: duplicate ids, unresolved endpoints, self-loops,
-    nonpositive or non-finite pipe parameters, missing reservoirs or
-    consumers, and disconnectedness.
+    pipe orientation. Ids are converted with ``str``. The specs are unzipped
+    into columns for :func:`network_from_columns`, which raises its errors.
     """
-    node_objs: list[Node] = []
-    seen_nodes: set[str] = set()
-    for nid, role in nodes:
-        nid = str(nid)
-        if nid in seen_nodes:
-            raise DuplicateIdError(f"duplicate node id: {nid!r}")
-        seen_nodes.add(nid)
-        node_objs.append(Node(nid, NodeRole.parse(role)))
+    nodes, pipes = list(nodes), list(pipes)
+    node_ids, roles = zip(*nodes) if nodes else ((), ())
+    pipe_ids, tails, heads, params = zip(*pipes) if pipes else ((), (), (), ())
+    return network_from_columns(
+        [str(nid) for nid in node_ids],
+        roles,
+        [str(pid) for pid in pipe_ids],
+        [str(t) for t in tails],
+        [str(h) for h in heads],
+        *([getattr(p, name) for p in params] for name in _PARAMETERS),
+    )
 
-    pipe_objs: list[Pipe] = []
-    seen_pipes: set[str] = set()
-    for pid, tail, head, params in pipes:
-        pid, tail, head = str(pid), str(tail), str(head)
-        if pid in seen_pipes:
+
+def network_from_columns(
+    node_ids: Sequence[str],
+    roles: Sequence["NodeRole | str"],
+    pipe_ids: Sequence[str],
+    tails: Sequence[str],
+    heads: Sequence[str],
+    lengths: Sequence[float],
+    diameters: Sequence[float],
+    roughnesses: Sequence[float],
+) -> Network:
+    """Validate node and pipe columns and build the network they describe.
+
+    Pipe ``j`` is ``pipe_ids[j]`` from node id ``tails[j]`` to node id
+    ``heads[j]``, with ``lengths[j]``, ``diameters[j]`` and ``roughnesses[j]``.
+    Raises a distinct :class:`NetworkValidationError` subclass per defect:
+    duplicate ids, unresolved endpoints, self-loops, nonpositive or
+    non-finite pipe parameters, missing reservoirs or consumers, and
+    disconnectedness. Each check is one test over a whole column; only when
+    one fails does a scalar pass look for the earliest defect in input order:
+    nodes before pipes, and each pipe's checks in the order listed above.
+    """
+    node_ids, roles, pipe_ids = tuple(node_ids), tuple(roles), tuple(pipe_ids)
+    fields = (lengths, diameters, roughnesses)
+    if len(roles) != len(node_ids) or any(len(c) != len(pipe_ids) for c in (tails, heads, *fields)):
+        raise ValueError("every column needs one entry per node or per pipe")
+    index = dict(zip(node_ids, range(len(node_ids))))
+    role_column = _lookup(_ROLES, roles)
+    ends = _lookup(index, tails), _lookup(index, heads)
+    params = [np.array(values) for values in fields]
+    if not (
+        role_column is not None
+        and len(index) == len(node_ids)
+        and len(set(pipe_ids)) == len(pipe_ids)
+        and None not in ends
+        and not np.any(np.equal(*ends))
+        and all(p.dtype.kind in "biuf" and np.all(np.isfinite(p) & (p > 0)) for p in params)
+    ):
+        # No defect raised: only spellings the column test does not know were
+        # left, such as the role "Reservoir" or a length given as a Fraction.
+        role_column = _raise_first_defect(node_ids, roles, pipe_ids, tails, heads, fields)
+    if NodeRole.RESERVOIR not in role_column:
+        raise NoReservoirError("a network needs at least one reservoir node")
+    if NodeRole.CONSUMER not in role_column:
+        raise NoConsumerError("a network needs at least one consumer node")
+    _check_connected(len(node_ids), *ends)
+    arrays = [np.array(e, dtype=np.intp) for e in ends]
+    arrays += [p.astype(float, copy=False) for p in params]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return Network(node_ids, tuple(role_column), pipe_ids, *arrays)
+
+
+def _lookup(table: Mapping, keys: Iterable) -> list | None:
+    """``[table[k] for k in keys]``, or None when a key is missing or unhashable."""
+    try:
+        return list(map(table.__getitem__, keys))
+    except (KeyError, TypeError):
+        return None
+
+
+def _raise_first_defect(
+    node_ids: tuple, roles: tuple, pipe_ids: tuple, tails: Sequence, heads: Sequence, params: tuple
+) -> list[NodeRole]:
+    """Raise the error of the earliest defect in input order; else return the parsed roles."""
+    nodes: set[str] = set()
+    parsed = []
+    for nid, role in zip(node_ids, roles):
+        if nid in nodes:
+            raise DuplicateIdError(f"duplicate node id: {nid!r}")
+        nodes.add(nid)
+        parsed.append(NodeRole.parse(role))
+    pipes: set[str] = set()
+    values = [v.tolist() if isinstance(v, np.ndarray) else v for v in params]
+    for pid, tail, head, *fields in zip(pipe_ids, tails, heads, *values):
+        if pid in pipes:
             raise DuplicateIdError(f"duplicate pipe id: {pid!r}")
-        seen_pipes.add(pid)
+        pipes.add(pid)
         for endpoint in (tail, head):
-            if endpoint not in seen_nodes:
-                raise UnknownNodeError(
-                    f"pipe {pid!r} references unknown node {endpoint!r}"
-                )
+            if endpoint not in nodes:
+                raise UnknownNodeError(f"pipe {pid!r} references unknown node {endpoint!r}")
         if tail == head:
             raise SelfLoopError(f"pipe {pid!r} is a self-loop at {tail!r}")
-        for field in ("length", "diameter", "roughness"):
-            value = getattr(params, field)
+        for name, value in zip(_PARAMETERS, fields):
             if not (math.isfinite(value) and value > 0):
                 raise NonpositiveParameterError(
-                    f"pipe {pid!r}: {field} must be finite and > 0, got {value!r}"
+                    f"pipe {pid!r}: {name} must be finite and > 0, got {value!r}"
                 )
-        pipe_objs.append(Pipe(pid, tail, head, params))
-
-    net = Network(tuple(node_objs), tuple(pipe_objs))
-    if net.n_reservoirs == 0:
-        raise NoReservoirError("a network needs at least one reservoir node")
-    if net.n_consumers == 0:
-        raise NoConsumerError("a network needs at least one consumer node")
-    _check_connected(net)
-    return net
+    return parsed
 
 
 def join_sets(parent: list[int], a: int, b: int) -> bool:
@@ -531,16 +605,11 @@ def _grounded_tree(net: Network) -> GroundedTree:
     )
 
 
-def _check_connected(net: Network) -> None:
-    parent = list(range(net.n_nodes))
-    joins = sum(
-        join_sets(parent, t, h)
-        for t, h in zip(net.tail_indices.tolist(), net.head_indices.tolist())
-    )
-    if net.n_nodes - joins != 1:
-        raise DisconnectedNetworkError(
-            f"network is not connected ({net.n_nodes - joins} components)"
-        )
+def _check_connected(n_nodes: int, tails: list[int], heads: list[int]) -> None:
+    parent = list(range(n_nodes))
+    joins = sum(join_sets(parent, t, h) for t, h in zip(tails, heads))
+    if n_nodes - joins != 1:
+        raise DisconnectedNetworkError(f"network is not connected ({n_nodes - joins} components)")
 
 
 # --- JSON schema -----------------------------------------------------------
@@ -551,7 +620,13 @@ def _check_connected(net: Network) -> None:
 
 
 def network_from_json_dict(doc: Mapping) -> Network:
-    """Parse the network JSON schema and validate the result."""
+    """Parse the network JSON schema and validate the result.
+
+    ``nodes`` and ``pipes`` must be arrays, ids and endpoints JSON strings and
+    the three parameters JSON numbers; anything else raises
+    :class:`FormatError`. The entries go straight into columns for
+    :func:`network_from_columns`.
+    """
     if not isinstance(doc, Mapping):
         raise FormatError("network document must be a JSON object")
     try:
@@ -559,41 +634,83 @@ def network_from_json_dict(doc: Mapping) -> Network:
         raw_pipes = doc["pipes"]
     except KeyError as exc:
         raise FormatError(f"network document missing key {exc.args[0]!r}") from None
+    nodes = _node_columns(_json_array(raw_nodes, "nodes"))
+    pipes = _pipe_columns(_json_array(raw_pipes, "pipes"))
+    return network_from_columns(*nodes, *pipes)
 
-    nodes: list[NodeSpec] = []
-    for entry in raw_nodes:
+
+#: Pipe entry keys, in the order `_pipe_columns` reads and checks them.
+_PIPE_IDS = ("id", "from", "to")
+_PIPE_NUMBERS = ("length_m", "diameter_m", "roughness")
+
+
+def _json_array(raw, key: str) -> list | tuple:
+    if not isinstance(raw, (list, tuple)):
+        kind = type(raw).__name__
+        raise FormatError(f"network document key {key!r} must be an array, got {kind}")
+    return raw
+
+
+def _node_columns(entries: Sequence) -> tuple[list, list]:
+    ids, roles = [], []
+    for entry in entries:
         try:
-            nodes.append((entry["id"], NodeRole.parse(entry["role"])))
+            nid, role = entry["id"], NodeRole.parse(entry["role"])
         except (KeyError, TypeError):
             raise FormatError(f"malformed node entry: {entry!r}") from None
+        if not isinstance(nid, str):
+            raise FormatError(f"malformed node entry: {entry!r} (id must be a string)")
+        ids.append(nid)
+        roles.append(role)
+    return ids, roles
 
-    pipes: list[PipeSpec] = []
-    for entry in raw_pipes:
+
+def _pipe_columns(entries: Sequence) -> list[list]:
+    """The pipe ids, tails, heads, lengths, diameters and roughnesses, one entry at a time."""
+    strings: list[list] = [[] for _ in _PIPE_IDS]
+    floats: list[list] = [[] for _ in _PIPE_NUMBERS]
+    for entry in entries:
         try:
-            params = PipeParams(
-                length=float(entry["length_m"]),
-                diameter=float(entry["diameter_m"]),
-                roughness=float(entry["roughness"]),
-            )
-            pipes.append((entry["id"], entry["from"], entry["to"], params))
-        except (KeyError, TypeError, ValueError):
+            values = entry["id"], entry["from"], entry["to"]
+            numbers = entry["length_m"], entry["diameter_m"], entry["roughness"]
+        except (KeyError, TypeError):
             raise FormatError(f"malformed pipe entry: {entry!r}") from None
-
-    return build_network(nodes, pipes)
+        for column, key, value in zip(strings, _PIPE_IDS, values):
+            if not isinstance(value, str):
+                raise FormatError(f"malformed pipe entry: {entry!r} ({key} must be a string)")
+            column.append(value)
+        for column, key, value in zip(floats, _PIPE_NUMBERS, numbers):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise FormatError(f"malformed pipe entry: {entry!r} ({key} must be a number)")
+            try:
+                column.append(float(value))
+            except OverflowError:
+                message = f"malformed pipe entry: {entry!r} ({key} is out of range)"
+                raise FormatError(message) from None
+    return strings + floats
 
 
 def network_to_json_dict(net: Network) -> dict:
+    ids = net.node_ids
+    pipes = zip(
+        net.pipe_ids,
+        net.tail_indices.tolist(),
+        net.head_indices.tolist(),
+        net.lengths.tolist(),
+        net.diameters.tolist(),
+        net.roughnesses.tolist(),
+    )
     return {
-        "nodes": [{"id": n.id, "role": n.role.value} for n in net.nodes],
+        "nodes": [{"id": nid, "role": role.value} for nid, role in zip(ids, net.roles)],
         "pipes": [
             {
-                "id": p.id,
-                "from": p.tail,
-                "to": p.head,
-                "length_m": p.params.length,
-                "diameter_m": p.params.diameter,
-                "roughness": p.params.roughness,
+                "id": pid,
+                "from": ids[tail],
+                "to": ids[head],
+                "length_m": length,
+                "diameter_m": diameter,
+                "roughness": roughness,
             }
-            for p in net.pipes
+            for pid, tail, head, length, diameter, roughness in pipes
         ],
     }

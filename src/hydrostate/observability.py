@@ -118,10 +118,12 @@ def complete(
 
     ``tol`` (default ``DEFAULT_IMAGE_TOL``, or the solver's when demand-driven) serves both.
     Raises :class:`NotCoveredError` when no route applies, besides the errors of the route, and
-    ``ValueError`` when ``tol`` is not finite and nonnegative.
+    ``ValueError`` when ``tol`` is not finite and nonnegative or ``max_iterations`` is negative.
     """
     if tol is not None:
         require_tolerance(tol)
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
     forest = None
     if theorem is None:
         verdict = classify_observation_pattern(net, obs)

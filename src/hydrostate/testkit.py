@@ -19,10 +19,12 @@ import numpy as np
 from .completion import complete_from_heads
 from .errors import InfeasibleConfigError
 from .hydraulics import HydraulicState
-from .network import Network, PipeParams, build_network, resistance
+from .network import Network, PipeParams, network_from_columns, resistance
 
 #: Maximum number of parallel pipes between one node pair.
 MAX_PARALLEL_PIPES = 2
+#: Diameter (m) and Hazen-Williams roughness of generated pipes.
+DIAMETER, ROUGHNESS = 0.3, 100.0
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class GeneratorConfig:
 
 
 def params_for_resistance(
-    target: float, diameter: float = 0.3, roughness: float = 100.0
+    target: float, diameter: float = DIAMETER, roughness: float = ROUGHNESS
 ) -> PipeParams:
     """Pipe parameters realizing a given resistance (resistance is linear in length)."""
     if not target > 0:
@@ -149,12 +151,20 @@ def random_connected_wds(cfg: GeneratorConfig) -> Network:
         ]
 
     r_lo, r_hi = cfg.resistance_range
-    targets = rng.uniform(r_lo, r_hi, len(edges)).tolist()
-    pipes = [
-        (f"P{k + 1}", node_ids[tail], node_ids[head], params_for_resistance(r))
-        for k, ((tail, head), r) in enumerate(zip(edges, targets))
-    ]
-    return build_network(list(zip(node_ids, roles)), pipes)
+    m = len(edges)
+    # Resistance is linear in length, and division is correctly rounded, so
+    # each length equals the scalar ``params_for_resistance(target).length``.
+    lengths = rng.uniform(r_lo, r_hi, m) / _unit_resistance(DIAMETER, ROUGHNESS)
+    return network_from_columns(
+        node_ids,
+        roles,
+        [f"P{k + 1}" for k in range(m)],
+        [node_ids[tail] for tail, _ in edges],
+        [node_ids[head] for _, head in edges],
+        lengths,
+        np.full(m, DIAMETER),
+        np.full(m, ROUGHNESS),
+    )
 
 
 def random_ground_truth_state(

@@ -109,8 +109,8 @@ def undirected_components(net: Network, pipe_ids) -> list[int]:
         return i
 
     for pid in pipe_ids:
-        p = net.pipes[net.pipe_index[pid]]
-        a, b = find(net.node_index[p.tail]), find(net.node_index[p.head])
+        j = net.pipe_index[pid]
+        a, b = find(int(net.tail_indices[j])), find(int(net.head_indices[j]))
         if a != b:
             parent[a] = b
     return [find(i) for i in range(net.n_nodes)]
@@ -127,8 +127,8 @@ def edge_subset_is_forest(net: Network, pipe_ids) -> bool:
         return i
 
     for pid in pipe_ids:
-        p = net.pipes[net.pipe_index[pid]]
-        a, b = find(net.node_index[p.tail]), find(net.node_index[p.head])
+        j = net.pipe_index[pid]
+        a, b = find(int(net.tail_indices[j])), find(int(net.head_indices[j]))
         if a == b:
             return False
         parent[a] = b

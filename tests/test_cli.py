@@ -482,6 +482,120 @@ class TestTolerance:
         assert payload["tolerance"] == 0.001
 
 
+class TestMaxIter:
+    @pytest.fixture
+    def demands(self, tmp_path):
+        doc = {"heads": {"R": 100.0}, "demands": {"c1": 0.1, "c2": 0.2}}
+        return write_json(tmp_path / "obs.json", doc)
+
+    @pytest.mark.parametrize("value", ["-1", "-30", "1.5", "many", ""])
+    @pytest.mark.parametrize("theorem", ["auto", "demand-driven"])
+    def test_solve_rejects_bad_iteration_count(self, capsys, triangle_file, demands, theorem, value):
+        argv = ["solve", triangle_file, "--obs", demands, "--theorem", theorem, f"--max-iter={value}"]
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert "iteration count must be an integer >= 0" in captured.err
+
+    def test_solve_takes_nonnegative_iteration_count(self, capsys, triangle_file, demands):
+        argv = ["solve", triangle_file, "--obs", demands, "--theorem", "demand-driven"]
+        code, payload = invoke(capsys, [*argv, "--max-iter", "0"])
+        assert code == 3
+        assert payload["iterations"] == 0
+        code, payload = invoke(capsys, [*argv, "--max-iter", "50"])
+        assert code == 0
+        assert payload["theorem"] == "demand_driven"
+
+
+class TestStrictParsing:
+    """Wrongly typed JSON values are file errors (exit 65), never coerced or crashed on."""
+
+    @staticmethod
+    def network_doc():
+        return {
+            "nodes": [{"id": "R", "role": "reservoir"}, {"id": "J", "role": "consumer"}],
+            "pipes": [
+                {"id": "P1", "from": "R", "to": "J", "length_m": 100.0, "diameter_m": 0.3,
+                 "roughness": 100},
+            ],
+        }
+
+    def test_valid_document_passes(self, capsys, tmp_path):
+        path = write_json(tmp_path / "net.json", self.network_doc())
+        code, payload = invoke(capsys, ["validate", path])
+        assert code == 0
+        assert payload["valid"] is True
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"nodes": 5},
+            {"pipes": 5},
+            {"nodes": "RJ"},
+            {"pipes": {"P1": {}}},
+        ],
+        ids=["nodes_number", "pipes_number", "nodes_string", "pipes_object"],
+    )
+    def test_non_array_sections(self, capsys, tmp_path, change):
+        path = write_json(tmp_path / "net.json", {**self.network_doc(), **change})
+        code = run_cli(["validate", path])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "must be an array" in captured.err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("length_m", True),
+            ("length_m", "100"),
+            ("diameter_m", False),
+            ("roughness", None),
+            ("id", None),
+            ("id", 7),
+            ("from", 1),
+            ("to", ["J"]),
+        ],
+    )
+    def test_wrongly_typed_pipe_field(self, capsys, tmp_path, key, value):
+        doc = self.network_doc()
+        doc["pipes"][0][key] = value
+        code = run_cli(["validate", write_json(tmp_path / "net.json", doc)])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "malformed pipe entry" in captured.err
+
+    @pytest.mark.parametrize("value", [None, 3, True])
+    def test_non_string_node_id(self, capsys, tmp_path, value):
+        doc = self.network_doc()
+        doc["nodes"][1]["id"] = value
+        code = run_cli(["validate", write_json(tmp_path / "net.json", doc)])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert "id must be a string" in captured.err
+
+    def test_huge_integer_parameter(self, capsys, tmp_path):
+        path = tmp_path / "net.json"
+        text = json.dumps(self.network_doc()).replace('"roughness": 100', '"roughness": 1' + "0" * 400)
+        path.write_text(text)
+        code = run_cli(["validate", str(path)])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert "roughness is out of range" in captured.err
+
+    @pytest.mark.parametrize("value", [True, "1.5", None, [1.0]])
+    def test_wrongly_typed_observation(self, capsys, tmp_path, net_file, value):
+        doc = {"heads": {"R": 100.0, "J1": 99.0}, "flows": {"P1": value}}
+        obs = write_json(tmp_path / "obs.json", doc)
+        code = run_cli(["solve", net_file, "--obs", obs])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert f"non-numeric value {value!r} at 'P1' in observation section 'flows'" in captured.err
+
+
 class TestCheck:
     def test_ground_truth_passes(self, capsys, tmp_path, triangle_file, triangle_net):
         truth = random_ground_truth_state(triangle_net, seed=5)
@@ -611,3 +725,46 @@ def _solve_digest(capsys, tmp_path, net_seed, kind):
 @pytest.mark.parametrize("net_seed", [31, 47])
 def test_solve_stdout_is_pinned(capsys, tmp_path, net_seed, kind):
     assert _solve_digest(capsys, tmp_path, net_seed, kind) == SOLVE_STDOUT_DIGESTS[net_seed, kind]
+
+
+# --- byte-identity guard on generate and validate ------------------------------
+
+#: sha256 of ``hydrostate generate --seed S --reservoirs 2 --consumers C
+#: --extra-edges K`` stdout per (S, C, K), computed on the implementation that
+#: still built networks from per-pipe objects.
+GENERATE_STDOUT_DIGESTS = {
+    (1, 3, 0): "9c4e518c89c4a68b39a5921ed2c50d0202ce831da61e46a6eb9accedcc824f86",
+    (1, 3, 2): "558d67683d3813fad389063262f7b78f485a1df934005221e41051b2021cefa3",
+    (1, 60, 0): "dfc68cd31ffae6282c024923b29971ba77d6165ccf45fcb3c07239b362aa1f8b",
+    (1, 60, 30): "542cb8a91df88d0b3bdcaef4f2b411233eaafb92e6313d85a5ef4fb9d3240b4a",
+    (2, 3, 0): "738a26c695280e8490c5dde47fdeb5270f910f6ec88ec57953e62a9e7f19cf41",
+    (2, 3, 2): "2c597d5e0caf01c43cfd1b53f3cfaaeb6388d9832cbff223f09db54587af66a0",
+    (2, 60, 0): "90feb6909ad17a96df02a64f38aa3703d19cf0e676785e7d8b23a6475561f5e8",
+    (2, 60, 30): "2be37aabb75d822206d4bc5a81a6c43358f4064a67e46bb1976b89ca939449b6",
+    (3, 3, 0): "0fe0c6b9e428da23bbfbead8e11e17f0f15ba08cb4a83628468402353b206c2a",
+    (3, 3, 2): "009534f61f9a485b25d3bfd1f9c741ba0e4be9dc1dc8ca94c09c530672f95e7c",
+    (3, 60, 0): "79af8f917bbe8859a682853482181e2a1d66ef70332138da651f7a7bf5b8f49c",
+    (3, 60, 30): "914c854a75c206f5877cd3c121dc5eaef433c64c59a0940f83a7273964b51a41",
+}
+
+#: sha256 of ``hydrostate validate`` stdout on those files, per (C, K).
+VALIDATE_STDOUT_DIGESTS = {
+    (3, 0): "f5a7a769cb9a3acfce5e39ad7ffbef693dbb548031fd608fa436ede8c5ac4b17",
+    (3, 2): "a8b44ab1ee1d9b99d0c3dfd3415972d2894fe2a9ad09ab2f5735f6881954928b",
+    (60, 0): "4a7156e9ce6fcafcd4b7bb0459072c155bde59304881c7eeb355967aaa63af6d",
+    (60, 30): "34ece9d6c6f1e0b8fa72f0e0517f2e4421534939d93426c4cc5653524fa16afc",
+}
+
+
+@pytest.mark.parametrize("seed, consumers, extra", list(GENERATE_STDOUT_DIGESTS))
+def test_generate_and_validate_stdout_are_pinned(capsys, tmp_path, seed, consumers, extra):
+    argv = ["--seed", str(seed), "--reservoirs", "2", "--consumers", str(consumers)]
+    assert run_cli(["generate", *argv, "--extra-edges", str(extra)]) == 0
+    text = capsys.readouterr().out
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == GENERATE_STDOUT_DIGESTS[seed, consumers, extra]
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    assert run_cli(["validate", str(path)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VALIDATE_STDOUT_DIGESTS[consumers, extra]

@@ -1,5 +1,6 @@
 """Tests for the four state-completion solvers and their round-trip closure."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -23,6 +24,7 @@ from hydrostate import (
     SolverOptions,
     UnknownNodeError,
     build_network,
+    complete,
     complete_from_forest_flows,
     complete_from_heads,
     complete_from_reservoir_heads_and_flows,
@@ -130,6 +132,23 @@ class TestCompleteFromReservoirHeadsAndFlows:
             SolverOptions(tolerance=tol)
         SolverOptions(tolerance=0.0)
         complete_from_reservoir_heads_and_flows(triangle_net, h_r, truth.flows, 1e-6)
+
+
+@pytest.mark.parametrize("field", ["max_iterations", "max_step_halvings"])
+def test_solver_options_reject_negative_counts(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+        SolverOptions(**{field: -1})
+    assert getattr(SolverOptions(**{field: 0}), field) == 0
+
+
+def test_complete_rejects_negative_max_iterations(triangle_net):
+    truth = random_ground_truth_state(triangle_net, seed=3)
+    obs = ObservationSet(heads={"R": float(truth.heads[0])}, demands={"c1": 0.1, "c2": 0.2})
+    # Every route, the linear ones included, rejects it before solving.
+    for theorem in (None, CompletionMethod.DEMAND_DRIVEN, CompletionMethod.ALL_HEADS):
+        with pytest.raises(ValueError, match="max_iterations must be >= 0, got -1"):
+            complete(triangle_net, obs, theorem, max_iterations=-1)
+    assert complete(triangle_net, obs, max_iterations=50).theorem is CompletionMethod.DEMAND_DRIVEN
 
 
 class TestCompleteFromForestFlows:
@@ -334,6 +353,27 @@ class TestObservationSet:
         obs = ObservationSet(heads={"R": 100.0}, flows={"P1": 0.5}, demands={"J1": 0.5})
         doc = obs.to_json_dict()
         assert ObservationSet.from_json_dict(doc) == obs
+
+    def test_json_integers_become_floats(self):
+        obs = ObservationSet.from_json_dict({"heads": {"R": 100}, "flows": {"P1": -2}})
+        assert obs == ObservationSet(heads={"R": 100.0}, flows={"P1": -2.0})
+        assert type(obs.heads["R"]) is float
+
+    @pytest.mark.parametrize("value", [True, False, "1.5", "nan", None, [1.0], {"q": 1.0}])
+    @pytest.mark.parametrize("section", ["heads", "flows", "demands"])
+    def test_json_rejects_non_numbers(self, section, value):
+        message = f"non-numeric value {value!r} at 'X' in observation section '{section}'"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            ObservationSet.from_json_dict({section: {"X": value}})
+
+    @pytest.mark.parametrize("key", [1, None, ("P", 1)])
+    def test_json_rejects_non_string_ids(self, key):
+        with pytest.raises(FormatError, match="non-string id"):
+            ObservationSet.from_json_dict({"flows": {key: 1.0}})
+
+    def test_json_rejects_overflowing_integer(self):
+        with pytest.raises(FormatError, match="non-finite or non-numeric value 1000"):
+            ObservationSet.from_json_dict({"flows": {"P1": 10**400}})
 
 
 class TestNonFiniteInput:

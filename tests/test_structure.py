@@ -12,6 +12,7 @@ from hydrostate import (
     EdgeDecomposition,
     EmptySubsetError,
     GeneratorConfig,
+    PipeParams,
     SolverOptions,
     UnknownNodeError,
     build_network,
@@ -271,8 +272,11 @@ def shuffled_networks(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     net = random_connected_wds(GeneratorConfig(seed, n_reservoirs, n_consumers, extra))
     order = draw(st.permutations(range(net.n_pipes)))
-    pipes = [(p.id, p.tail, p.head, p.params) for p in (net.pipes[k] for k in order)]
-    return build_network([(node.id, node.role) for node in net.nodes], pipes)
+    ids = net.node_ids
+    params = map(PipeParams, net.lengths.tolist(), net.diameters.tolist(), net.roughnesses.tolist())
+    ends = ([ids[i] for i in e.tolist()] for e in (net.tail_indices, net.head_indices))
+    spec = list(zip(net.pipe_ids, *ends, params))
+    return build_network(list(zip(ids, net.roles)), [spec[k] for k in order])
 
 
 class TestForestScan:

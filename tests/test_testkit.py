@@ -191,8 +191,8 @@ class TestRandomConnectedWds:
         cfg = GeneratorConfig(seed=9, n_reservoirs=1, n_consumers=3, extra_edges=8)
         net = random_connected_wds(cfg)
         pairs: dict[tuple[str, str], int] = {}
-        for p in net.pipes:
-            key = tuple(sorted((p.tail, p.head)))
+        for ends in zip(net.tail_indices.tolist(), net.head_indices.tolist()):
+            key = tuple(sorted(ends))
             pairs[key] = pairs.get(key, 0) + 1
         assert max(pairs.values()) <= MAX_PARALLEL_PIPES
 
