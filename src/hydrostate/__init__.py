@@ -72,11 +72,19 @@ from .structure import (
     select_independent_edges,
     submatrix_rank,
 )
-from .testkit import (
-    GeneratorConfig,
-    params_for_resistance,
-    random_connected_wds,
-    random_ground_truth_state,
-)
 
 __version__ = "0.1.0"
+
+#: Generator names, imported from :mod:`hydrostate.testkit` on first use so
+#: that the solver and the CLI load without the generator.
+_TESTKIT_NAMES = frozenset(
+    {"GeneratorConfig", "params_for_resistance", "random_connected_wds", "random_ground_truth_state"}
+)
+
+
+def __getattr__(name: str):
+    if name in _TESTKIT_NAMES:
+        from . import testkit
+
+        return getattr(testkit, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

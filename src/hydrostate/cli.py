@@ -31,7 +31,6 @@ from .errors import (
 from .hydraulics import SOLVER_TOLERANCE, residuals, state_from_json_dict
 from .network import Network, network_from_json_dict, network_to_json_dict
 from .observability import classify_observation_pattern, complete
-from .testkit import GeneratorConfig, random_connected_wds
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -65,7 +64,10 @@ def _diag(message: str) -> None:
 
 def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
+            raise FormatError(str(exc)) from None
 
 
 def _load_network(path: str) -> Network:
@@ -152,7 +154,7 @@ def run_cli(argv: list[str]) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         raise AssertionError(args.command)
-    except (OSError, json.JSONDecodeError, FormatError) as exc:
+    except (OSError, FormatError) as exc:
         _diag(str(exc))
         return EXIT_FILE
 
@@ -244,6 +246,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .testkit import GeneratorConfig, random_connected_wds  # only generate needs the generator
+
     cfg = GeneratorConfig(
         seed=args.seed,
         n_reservoirs=args.reservoirs,

@@ -27,7 +27,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -48,10 +48,12 @@ from .hydraulics import (
     demands_from_flows,
     head_loss,
     invert_head_loss,
+    json_number,
+    residual_report,
     residuals,
     state_to_json_dict,
 )
-from .network import Network, consumer_outflow
+from .network import HeadBand, Network, consumer_outflow
 from .structure import (
     DEFAULT_IMAGE_TOL,
     EdgeDecomposition,
@@ -133,11 +135,7 @@ class ObservationSet:
             for k, v in raw.items():
                 if not isinstance(k, str):
                     raise FormatError(f"non-string id {k!r} in observation section {key!r}")
-                # JSON numbers only: a boolean or a string is not read as one.
-                try:
-                    values[k] = math.nan if isinstance(v, (bool, str)) else float(v)
-                except (TypeError, ValueError, OverflowError):
-                    values[k] = math.nan
+                values[k] = json_number(v)
                 if not math.isfinite(values[k]):
                     raise FormatError(
                         f"non-finite or non-numeric value {v!r} at {k!r}"
@@ -213,48 +211,124 @@ def _pipe_drops(
     return h[net.tail_indices] - h[net.head_indices]
 
 
-def _solve_heads(net: Network, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``Bc diag(weights) Bc^T x = rhs`` for positive pipe weights.
+def _eliminate(net: Network, weights: np.ndarray, rhs: np.ndarray | None):
+    """Forward block elimination of ``A = Bc diag(weights) Bc^T``: the one loop of every head solve.
 
     A pipe adds its weight on the diagonal at each consumer end and subtracts
     it at the two off-diagonal cells when both ends are consumers; one
     scatter over :attr:`Network.head_band` fills the blocks of the matrix in
-    reverse Cuthill-McKee order. The matrix is symmetric positive definite,
-    so every Schur complement of the block-tridiagonal elimination is too
-    and pivoting inside each diagonal block suffices. Time is
-    O(n_c * block**2) and memory O(n_c * block).
+    reverse Cuthill-McKee order. With diagonal blocks ``D_k`` and blocks
+    ``L_k`` below them, the Schur complements are ``S_0 = D_0`` and
+    ``S_{k+1} = D_{k+1} - L_k S_k^-1 L_k^T``. ``L_k`` is nonzero only in its
+    coupled rows ``I = band.coupled[k]``, so step ``k`` solves ``S_k``
+    against the ``|I|`` columns of ``L_k[I]^T`` and updates only the
+    ``I x I`` cells of ``S_{k+1}``. The matrix is symmetric positive
+    definite, so every ``S_k`` is too and pivoting inside each block
+    suffices. Time is O(n_c * block**2) and memory O(n_c * block).
+
+    Each solve carries the reduced right-hand side ``y_k`` as one more
+    column. Returns the solution ``S_k^-1 [L_k[I]^T | y_k]`` of every step
+    but the last, the last Schur complement with ``y`` as its last column,
+    and, without ``rhs`` (``y = 0``), the inverse of every Schur complement
+    but the last, which solves the same matrix for later right-hand sides.
     """
     band = net.head_band
     s, n = band.block, band.n_blocks
     values = weights[band.pipes]
     values[band.n_diagonal :] *= -1.0
-    flat = np.bincount(band.cells, values, minlength=(2 * n - 1) * s * s)
+    flat = np.bincount(band.cells, values, minlength=band.lower_starts[-1])
     flat[band.padding] = 1.0
-    blocks = flat.reshape(2 * n - 1, s, s)
-    diagonal, below = blocks[:n], blocks[n:]
+    diagonal = flat[: n * s * (s + 1)].reshape(n, s, s + 1)
+    if rhs is None:
+        inverses = []
+    else:
+        inverses = None
+        diagonal[:, :, s] = _blocked(band, rhs)
 
-    y = np.zeros(n * s)
-    y[: net.n_consumers] = rhs[band.order]
-    y = y.reshape(n, s)
-    # Forward: S_0 = D_0, then S_{k+1} = D_{k+1} - L_k S_k^-1 L_k^T, carrying
-    # the right-hand side along as one more column.
-    schur = diagonal[0]
-    eliminated = []
-    for k in range(n - 1):
-        lower = below[k]
-        solved = np.linalg.solve(schur, np.column_stack([lower.T, y[k]]))
-        eliminated.append(solved)
-        update = lower @ solved
-        schur = diagonal[k + 1] - update[:, :s]
-        y[k + 1] -= update[:, s]
-    x = np.empty((n, s))
-    x[n - 1] = np.linalg.solve(schur, y[n - 1])
-    for k in range(n - 2, -1, -1):
-        x[k] = eliminated[k][:, s] - eliminated[k][:, :s] @ x[k + 1]
+    schur, steps = diagonal[0], []
+    for k, rows in enumerate(band.coupled):
+        m = len(rows)
+        lower = flat[band.lower_starts[k] : band.lower_starts[k + 1]].reshape(s, m + 1)
+        lower[:, m] = schur[:, s]
+        if inverses is None:
+            step = np.linalg.solve(schur[:, :s], lower)
+        else:
+            inverses.append(np.linalg.inv(schur[:, :s]))
+            step = inverses[-1] @ lower
+        steps.append(step)
+        schur = diagonal[k + 1]
+        schur.reshape(-1)[band.updates[k]] -= (lower[:, :m].T @ step).reshape(-1)
+    return steps, schur, inverses
 
-    out = np.empty(net.n_consumers)
-    out[band.order] = x.reshape(-1)[: net.n_consumers]
+
+def _blocked(band: HeadBand, rhs: np.ndarray) -> np.ndarray:
+    """``rhs`` in head-band order, zero-padded to ``n_blocks x block``."""
+    y = np.zeros(band.n_blocks * band.block)
+    y[: len(band.order)] = rhs[band.order]
+    return y.reshape(band.n_blocks, band.block)
+
+
+def _back_substitute(
+    band: HeadBand, steps: Sequence[np.ndarray], z: list[np.ndarray]
+) -> np.ndarray:
+    """``x_k = z_k - S_k^-1 L_k[I]^T x_{k+1}[I]`` from the last block up, in consumer order."""
+    x = np.empty((band.n_blocks, band.block))
+    x[-1] = z[-1]
+    for k in range(band.n_blocks - 2, -1, -1):
+        rows = band.coupled[k]
+        x[k] = z[k] - steps[k][:, : len(rows)] @ x[k + 1, rows]
+    out = np.empty(len(band.order))
+    out[band.order] = x.reshape(-1)[: len(band.order)]
     return out
+
+
+def _solve_heads(net: Network, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``Bc diag(weights) Bc^T x = rhs`` for positive pipe weights, in one pass.
+
+    The elimination (:func:`_eliminate`) carries ``rhs`` along, so nothing
+    outlives the call: each Newton step has new weights.
+    """
+    steps, last, _ = _eliminate(net, weights, rhs)
+    s = net.head_band.block
+    z = [step[:, -1] for step in steps]
+    z.append(np.linalg.solve(last[:, :s], last[:, s]))
+    return _back_substitute(net.head_band, steps, z)
+
+
+@dataclass(frozen=True, eq=False)
+class HeadFactor:
+    """Block factors of ``Bc diag(weights) Bc^T``, reusable for any right-hand side.
+
+    ``steps[k]`` is ``S_k^-1 [L_k[I]^T | 0]`` from :func:`_eliminate` and
+    ``inverses[k]`` is ``S_k^-1``. Together they hold at most
+    ``2 * n_c * block`` floats; on looped grids 0.19 MB at 500 consumers
+    (block 32), 1.4 MB at 2000 (block 57) and 15 MB at 10**4 (block 124).
+    """
+
+    band: HeadBand
+    steps: tuple[np.ndarray, ...]
+    inverses: tuple[np.ndarray, ...]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """One forward and one back substitution, O(n_c * block) per call."""
+        y = _blocked(self.band, rhs)
+        z = []
+        for k, rows in enumerate(self.band.coupled):
+            step, m = self.steps[k], len(rows)
+            z.append(self.inverses[k] @ y[k])
+            # L_k[I] S_k^-1 y_k, with S_k^-1 L_k[I]^T at the front of the step.
+            y[k + 1, rows] -= step[:, :m].T @ y[k]
+        z.append(self.inverses[-1] @ y[-1])
+        return _back_substitute(self.band, self.steps, z)
+
+
+def factor_heads(net: Network, weights: np.ndarray) -> HeadFactor:
+    """Factor ``Bc diag(weights) Bc^T`` by the elimination of :func:`_solve_heads`."""
+    steps, last, inverses = _eliminate(net, weights, None)
+    inverses.append(np.linalg.inv(last[:, : net.head_band.block]))
+    for arr in (*steps, *inverses):
+        arr.setflags(write=False)
+    return HeadFactor(net.head_band, tuple(steps), tuple(inverses))
 
 
 def _require_finite(what: str, values: np.ndarray) -> None:
@@ -290,7 +364,10 @@ def _warn_negative_heads(consumer_heads: np.ndarray) -> None:
 
 
 def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theorem):
-    """The linear routes: walk ``forest`` from the ``grounded`` heads, check ``observed`` flows."""
+    """The linear routes: walk ``forest`` from the ``grounded`` heads, check ``observed`` flows.
+
+    ``tol=None`` skips the check, for flows that the walk cannot contradict.
+    """
     _require_finite("observations", heads[grounded])
     _require_finite("observations", flows)
     loss = np.zeros(net.n_pipes)
@@ -305,7 +382,7 @@ def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theo
     # can head drops and demands: no NaN state.
     if not (np.isfinite(h).all() and np.isfinite(q).all() and np.isfinite(d).all()):
         raise ObservationOverflowError("observations overflow the completed state")
-    if observed.size:
+    if observed.size and tol is not None:
         tails, ends, loss = net.tail_indices[observed], net.head_indices[observed], loss[observed]
         _check("flows", h[tails] - h[ends] - loss, loss - (heads[tails] - heads[ends]), tol)
     if steps:
@@ -387,7 +464,9 @@ def complete_from_forest_flows(
 
     ``forest_flows`` must be keyed exactly by ``decomposition.independent``.
     Consumer heads come from the tree walk along the forest, the chord flows
-    from inverting their head drops, the demands from mass balance. Raises
+    from inverting their head drops, the demands from mass balance. The
+    forest flows are not checked: the heads are walked from them, so they
+    obey the energy law by construction. Raises
     :class:`DecompositionMismatchError` unless the forest spans the consumers and
     :class:`ObservationOverflowError` when the head loss of a forest flow, or
     a head summed from such losses, overflows.
@@ -405,7 +484,7 @@ def complete_from_forest_flows(
     forest = np.array(pipe_positions(net, dec.independent), dtype=np.intp)
     return _complete_on_forest(
         net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, dec.independent,
-        forest, q_forest, DEFAULT_IMAGE_TOL, CompletionMethod.FOREST_FLOWS,
+        forest, q_forest, None, CompletionMethod.FOREST_FLOWS,
     )
 
 
@@ -420,10 +499,11 @@ def _initial_point(
         # Solve the network with a linear head-loss law (conductance 1/r).
         # One symmetric positive definite solve seeds every pipe with a flow
         # of physically sensible size, so the first Jacobian is genuine on
-        # every pipe that matters.
+        # every pipe that matters. The matrix depends on the network alone,
+        # so it is factored once per network.
         g = 1.0 / net.resistances
         rhs = -demands - consumer_outflow(net, g * _pipe_drops(net, reservoir_heads, 0.0))
-        h_c = _solve_heads(net, g, rhs)
+        h_c = net.linear_head_factor.solve(rhs)
         q = g * _pipe_drops(net, reservoir_heads, h_c)
         return q, h_c
     if options.initial_strategy == "forest":
@@ -482,7 +562,9 @@ def solve_reservoir_heads_demands(
     (the Global Gradient Algorithm, as in EPANET), where ``D = diag(f'(q))``.
     That matrix is factored block by block in the reverse Cuthill-McKee
     consumer order of :attr:`Network.head_band`, in O(n_c * b) memory for
-    bandwidth b, with numpy alone (see the module docstring). The head-loss
+    bandwidth b, with numpy alone (see the module docstring); the ``linear``
+    start's matrix is factored once per network and cached as
+    :attr:`Network.linear_head_factor`. The head-loss
     derivative vanishes at zero flow, so ``D`` clamps ``|q|`` from below by
     ``options.zero_flow_epsilon``; the residual itself always uses the exact
     nonlinearity, so the converged state is unbiased. Raises
@@ -543,5 +625,6 @@ def solve_reservoir_heads_demands(
 
     _warn_negative_heads(h_c)
     h = _assemble_heads(net, h_r, h_c)
-    state = HydraulicState(h, q, d)
-    return SolveReport(state, iterations, residuals(net, state), CompletionMethod.DEMAND_DRIVEN)
+    # F holds the residuals of exactly this state, bit for bit.
+    report = residual_report(net, F[: net.n_pipes], F[net.n_pipes :])
+    return SolveReport(HydraulicState(h, q, d), iterations, report, CompletionMethod.DEMAND_DRIVEN)

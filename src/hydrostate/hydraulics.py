@@ -81,19 +81,43 @@ def state_to_json_dict(net: Network, state: HydraulicState) -> dict:
     }
 
 
+def json_number(value) -> float:
+    """``value`` as a float when it is a number that fits one, else NaN.
+
+    A boolean or a string is not read as a number, and an integer too large
+    for a float gives NaN, so one finiteness test rejects them all.
+    """
+    if isinstance(value, (bool, str)):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def state_from_json_dict(net: Network, doc: Mapping) -> HydraulicState:
-    """Parse a full state document; every node, pipe and consumer must be covered."""
+    """Parse a full state document; every node, pipe and consumer must be covered.
+
+    Raises :class:`FormatError` on a missing entry and on a value that is not
+    a finite JSON number.
+    """
     if not isinstance(doc, Mapping):
         raise FormatError("state document must be a JSON object")
-    try:
-        heads = [float(doc["heads"][nid]) for nid in net.node_ids]
-        flows = [float(doc["flows"][pid]) for pid in net.pipe_ids]
-        demands = [float(doc["demands"][cid]) for cid in net.consumer_ids]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"incomplete or malformed state document: {exc}") from None
-    if not np.all(np.isfinite(heads + flows + demands)):
-        raise FormatError("non-finite value in state document")
-    return HydraulicState(np.array(heads), np.array(flows), np.array(demands))
+    columns = []
+    for section, ids in (
+        ("heads", net.node_ids), ("flows", net.pipe_ids), ("demands", net.consumer_ids)
+    ):
+        try:
+            raw = [doc[section][i] for i in ids]
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"incomplete or malformed state document: {exc}") from None
+        values = np.array([json_number(v) for v in raw])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            where = f"{raw[bad[0]]!r} at {ids[bad[0]]!r} in state section {section!r}"
+            raise FormatError(f"non-finite or non-numeric value {where}")
+        columns.append(values)
+    return HydraulicState(*columns)
 
 
 def demands_from_flows(net: Network, flows: np.ndarray) -> np.ndarray:
@@ -134,8 +158,13 @@ def residuals(net: Network, state: HydraulicState) -> ResidualReport:
     h, q, d = state.heads, state.flows, state.demands
     if h.shape != (net.n_nodes,) or q.shape != (net.n_pipes,) or d.shape != (net.n_consumers,):
         raise ValueError("state dimensions do not match the network")
-    energy = np.abs((h[net.tail_indices] - h[net.head_indices]) - head_loss(q, net.resistances))
-    mass = np.abs(d + consumer_outflow(net, q))
+    energy = (h[net.tail_indices] - h[net.head_indices]) - head_loss(q, net.resistances)
+    return residual_report(net, energy, d + consumer_outflow(net, q))
+
+
+def residual_report(net: Network, energy: np.ndarray, mass: np.ndarray) -> ResidualReport:
+    """The report of signed per-pipe energy and per-consumer mass residuals."""
+    energy, mass = np.abs(energy), np.abs(mass)
     e_arg = int(energy.argmax())
     m_arg = int(mass.argmax())
     return ResidualReport(

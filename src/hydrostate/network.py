@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .errors import (
     SelfLoopError,
     UnknownNodeError,
 )
+
+if TYPE_CHECKING:
+    from .completion import HeadFactor
 
 #: Exponent of the Hazen-Williams head-loss law.
 HAZEN_WILLIAMS_EXPONENT = 1.852
@@ -186,6 +189,18 @@ class Network:
         return _head_band(self)
 
     @cached_property
+    def linear_head_factor(self) -> "HeadFactor":
+        """Block factors of the linear-law head matrix ``Bc diag(1/r) Bc^T``, built on first use.
+
+        The ``linear`` Newton start solves with this matrix on every call; once
+        factored, each solve is one forward and one back substitution. The
+        factors hold about ``2 * n_c * head_band.block`` floats.
+        """
+        from .completion import factor_heads  # completion builds on this module
+
+        return factor_heads(self, 1.0 / self.resistances)
+
+    @cached_property
     def grounded_tree(self) -> "GroundedTree":
         """Canonical spanning forest with the reservoirs grounded, oriented from the ground."""
         return _grounded_tree(self)
@@ -214,11 +229,21 @@ class HeadBand:
     consumer-consumer pipes), which keeps every such pipe within
     ``bandwidth`` ranks of the diagonal. With ``block >= bandwidth`` the
     matrix, padded with an identity to ``n_blocks * block`` rows, is
-    block-tridiagonal in ``block x block`` blocks. They are stored flat:
-    ``n_blocks`` diagonal blocks, then the ``n_blocks - 1`` blocks below the
-    diagonal (block row ``k + 1``, block column ``k``). Entry ``e`` adds
-    ``weight[pipes[e]]`` to cell ``cells[e]``, negated from ``n_diagonal``
-    on; ``padding`` lists the diagonal cells of the identity padding.
+    block-tridiagonal in ``block x block`` blocks. Block row ``k + 1`` meets
+    block column ``k`` only in its coupled rows ``coupled[k]`` (increasing;
+    about half of a block on mesh-like networks), the consumers of block
+    ``k + 1`` joined to block ``k`` by a pipe.
+
+    The blocks are stored flat. First come the ``n_blocks`` diagonal blocks,
+    each with one more column for a right-hand side (``block x (block + 1)``).
+    From ``lower_starts[k]`` to ``lower_starts[k + 1]`` follows the
+    transpose of the block below diagonal block ``k``, kept to its coupled
+    columns and again with one more column (``block x (len(coupled[k]) + 1)``).
+    Entry ``e`` adds ``weight[pipes[e]]`` to cell ``cells[e]``, negated from
+    ``n_diagonal`` on; ``padding`` lists the diagonal cells of the identity
+    padding. ``updates[k]`` lists the cells of diagonal block ``k + 1`` that
+    the elimination of block ``k`` changes: the coupled rows, at the coupled
+    columns and the right-hand side, row by row.
     """
 
     order: np.ndarray
@@ -229,6 +254,9 @@ class HeadBand:
     cells: np.ndarray
     n_diagonal: int
     padding: np.ndarray
+    coupled: tuple[np.ndarray, ...]
+    lower_starts: tuple[int, ...]
+    updates: tuple[np.ndarray, ...]
 
 
 def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
@@ -301,14 +329,26 @@ def _head_band(net: Network) -> HeadBand:
     bandwidth = int(np.max(hi - lo, initial=0))
     s = max(bandwidth, _MIN_HEAD_BLOCK)
     n_blocks = -(-n_c // s)
+    width = s + 1  # a diagonal block and its right-hand side column
 
     def diagonal_cell(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return (i // s) * s * s + (i % s) * s + j % s
+        return (i // s) * s * width + (i % s) * width + j % s
 
     end_pipes = np.concatenate([np.flatnonzero(tails >= 0), np.flatnonzero(heads >= 0)])
     end_ranks = rank[np.concatenate([tails[tails >= 0], heads[heads >= 0]])]
     same = lo // s == hi // s
-    below = n_blocks * s * s + (lo[~same] // s) * s * s + (hi[~same] % s) * s + lo[~same] % s
+    # A pipe between blocks k and k + 1 couples row hi % s of block k + 1;
+    # block k's coupled rows are the sorted keys in [k * s, (k + 1) * s).
+    k, row = lo[~same] // s, hi[~same] % s
+    present = np.zeros(n_blocks * s, dtype=bool)
+    present[k * s + row] = True
+    keys = np.flatnonzero(present)
+    starts = np.searchsorted(keys, np.arange(n_blocks) * s)
+    coupled = tuple(keys[a:b] % s for a, b in zip(starts.tolist(), starts[1:].tolist()))
+    n_coupled = np.diff(starts)
+    lower_starts = n_blocks * s * width + s * np.concatenate([[0], np.cumsum(n_coupled + 1)])
+    column = np.searchsorted(keys, k * s + row) - starts[k]
+    below = lower_starts[k] + (lo[~same] % s) * (n_coupled[k] + 1) + column
     pipes = np.concatenate([end_pipes, inner[same], inner[same], inner[~same]])
     cells = np.concatenate(
         [
@@ -320,9 +360,13 @@ def _head_band(net: Network) -> HeadBand:
     )
     pad = np.arange(n_c, n_blocks * s)
     padding = diagonal_cell(pad, pad)
-    for arr in (order, pipes, cells, padding):
+    updates = tuple((rows[:, None] * width + np.append(rows, s)).reshape(-1) for rows in coupled)
+    for arr in (order, pipes, cells, padding, *coupled, *updates):
         arr.setflags(write=False)
-    return HeadBand(order, bandwidth, s, n_blocks, pipes, cells, len(end_pipes), padding)
+    return HeadBand(
+        order, bandwidth, s, n_blocks, pipes, cells, len(end_pipes), padding, coupled,
+        tuple(lower_starts.tolist()), updates,
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -595,6 +595,29 @@ class TestStrictParsing:
         assert captured.out == ""
         assert f"non-numeric value {value!r} at 'P1' in observation section 'flows'" in captured.err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("heads", "R", True), ("heads", "J1", "0.5"), ("flows", "P1", None), ("demands", "J1", [1])],
+    )
+    def test_wrongly_typed_state(self, capsys, tmp_path, net_file, section, key, value):
+        doc = {"heads": {"R": 100.0, "J1": 99.0}, "flows": {"P1": 0.5}, "demands": {"J1": 0.5}}
+        doc[section][key] = value
+        code = run_cli(["check", net_file, "--state", write_json(tmp_path / "state.json", doc)])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert f"non-numeric value {value!r} at {key!r} in state section {section!r}" in captured.err
+
+    @pytest.mark.parametrize("digits", [400, 5000], ids=["over_float", "over_int_digit_limit"])
+    def test_huge_integer_state(self, capsys, tmp_path, net_file, digits):
+        doc = {"heads": {"R": 100, "J1": 99.0}, "flows": {"P1": 0.5}, "demands": {"J1": 0.5}}
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc).replace('"R": 100', '"R": 1' + "0" * digits))
+        code = run_cli(["check", net_file, "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+
 
 class TestCheck:
     def test_ground_truth_passes(self, capsys, tmp_path, triangle_file, triangle_net):
@@ -675,6 +698,27 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert child.stdout.strip() == "[]"
+
+
+def test_cli_solve_loads_no_generator(tmp_path, net_file):
+    # ``solve`` never needs the random network generator, so it is not imported.
+    src = str(Path(hydrostate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    obs = write_json(tmp_path / "obs.json", {"heads": {"R": 100.0}, "demands": {"J1": 0.5}})
+    code = (
+        "import sys, hydrostate.cli; "
+        f"code = hydrostate.cli.run_cli(['solve', {net_file!r}, '--obs', {obs!r}]); "
+        "print(code, 'hydrostate.testkit' in sys.modules, file=sys.stderr)"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        check=True,
+    )
+    assert child.stderr.split() == ["0", "False"]
+    # The package still exports the generator names, loaded on first use.
+    from hydrostate import random_connected_wds as exported
+
+    assert exported is random_connected_wds
 
 
 # --- byte-identity guard on the linear routes ---------------------------------

@@ -564,11 +564,19 @@ def assert_band_layout(net):
     a, b = rank[tails[inner]], rank[heads[inner]]
     assert np.all(np.abs(a - b) <= band.bandwidth)
     assert np.all(np.abs(a // band.block - b // band.block) <= 1)
+    # The coupled rows are the nonzero rows of the dense blocks below the diagonal.
+    s = band.block
+    padded = np.zeros((band.n_blocks * s, band.n_blocks * s))
+    padded[:n_c, :n_c] = dense_head_matrix(net, np.ones(net.n_pipes))[np.ix_(band.order, band.order)]
+    assert len(band.coupled) == band.n_blocks - 1
+    for k, rows in enumerate(band.coupled):
+        below = padded[(k + 1) * s : (k + 2) * s, k * s : (k + 1) * s]
+        assert rows.tolist() == np.flatnonzero(np.any(below != 0.0, axis=1)).tolist()
 
 
-def assert_matches_dense(net, weights, rhs, rtol):
+def assert_matches_dense(net, weights, rhs, rtol, solve=None):
     A = dense_head_matrix(net, weights)
-    banded = completion._solve_heads(net, weights, rhs)
+    banded = completion._solve_heads(net, weights, rhs) if solve is None else solve(rhs)
     dense = np.linalg.solve(A, rhs)
     assert np.max(np.abs(banded - dense)) <= rtol * np.max(np.abs(dense))
     # Backward error of the banded solve: as small as a dense factorization's.
@@ -627,6 +635,75 @@ class TestBandedHeadSolve:
         weights = rng.uniform(0.5, 2.0, net.n_pipes)
         rhs = rng.uniform(-1.0, 1.0, net.n_consumers)
         assert_matches_dense(net, weights, rhs, 1e-9)
+
+
+class TestLinearHeadFactor:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_reservoirs=st.integers(1, 3),
+        n_consumers=st.integers(1, 150),
+        extra_edges=st.integers(0, 40),
+    )
+    def test_matches_fused_and_dense_solve(self, seed, n_reservoirs, n_consumers, extra_edges):
+        # Extra edges on few nodes make parallel pipes.
+        n = n_reservoirs + n_consumers
+        capacity = MAX_PARALLEL_PIPES * (n * (n - 1) // 2) - (n - 1)
+        net = random_connected_wds(
+            GeneratorConfig(seed, n_reservoirs, n_consumers, min(extra_edges, capacity))
+        )
+        g = 1.0 / net.resistances
+        rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, n_consumers)
+        cached = net.linear_head_factor.solve(rhs)
+        assert np.array_equal(cached, completion.factor_heads(net, g).solve(rhs))
+        rtol = 1e-9 + np.linalg.cond(dense_head_matrix(net, g)) * np.finfo(float).eps
+        assert_matches_dense(net, g, rhs, rtol, solve=net.linear_head_factor.solve)
+        fused = completion._solve_heads(net, g, rhs)
+        assert np.max(np.abs(cached - fused)) <= rtol * np.max(np.abs(fused))
+
+    def test_fixed_networks(self):
+        for net in (chain_network([40, 1, 57, 3]), looped_grid(3, 30, double=True),
+                    looped_grid(30, 40)):
+            rhs = np.random.default_rng(net.n_consumers).uniform(-1.0, 1.0, net.n_consumers)
+            assert_matches_dense(net, 1.0 / net.resistances, rhs, 1e-9,
+                                 solve=net.linear_head_factor.solve)
+
+    def test_built_once_and_only_for_the_linear_start(self, monkeypatch):
+        built = []
+
+        def counted(net, weights):
+            built.append(net)
+            return factor_heads(net, weights)
+
+        factor_heads = completion.factor_heads
+        monkeypatch.setattr(completion, "factor_heads", counted)
+        net = looped_grid(6, 7, seed=3)
+        truth = random_ground_truth_state(net, seed=8)
+        h_r = truth.reservoir_heads(net)
+        for strategy in ("forest", "flat", "random"):
+            solve_reservoir_heads_demands(
+                net, h_r, truth.demands, SolverOptions(initial_strategy=strategy, random_seed=1)
+            )
+        assert built == []
+        first = solve_reservoir_heads_demands(net, h_r, truth.demands)
+        assert built == [net]
+        second = solve_reservoir_heads_demands(net, h_r, truth.demands)
+        assert built == [net]
+        assert np.array_equal(first.state.heads, second.state.heads)
+
+
+@pytest.mark.parametrize("strategy", ["linear", "forest", "flat"])
+def test_final_residual_is_the_states_own(strategy, triangle_net):
+    nets = make_random_networks(6, seed0=151, max_nodes=30)
+    for k, net in enumerate(nets):
+        truth = random_ground_truth_state(net, seed=k)
+        opts = SolverOptions(initial_strategy=strategy)
+        report = solve_reservoir_heads_demands(net, truth.reservoir_heads(net), truth.demands, opts)
+        assert report.final_residual == residuals(net, report.state)
+    # Converged at the start, after no Newton step.
+    report = solve_reservoir_heads_demands(triangle_net, np.array([100.0]), np.zeros(2))
+    assert report.iterations == 0
+    assert report.final_residual == residuals(triangle_net, report.state)
 
 
 def test_demand_driven_scales_without_dense_matrix():

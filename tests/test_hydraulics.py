@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from hydrostate import (
     HAZEN_WILLIAMS_EXPONENT,
+    FormatError,
     HydraulicState,
     demands_from_flows,
     head_loss,
@@ -206,3 +207,16 @@ def test_state_json_round_trip(triangle_net):
     assert np.array_equal(back.heads, state.heads)
     assert np.array_equal(back.flows, state.flows)
     assert np.array_equal(back.demands, state.demands)
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [("heads", True), ("heads", "0.5"), ("flows", False), ("demands", 10**400), ("demands", None)],
+    ids=["bool", "numeric_string", "false", "huge_int", "null"],
+)
+def test_state_json_rejects_non_numbers(triangle_net, section, value):
+    doc = state_to_json_dict(triangle_net, random_ground_truth_state(triangle_net, seed=2))
+    key = next(iter(doc[section]))
+    doc[section][key] = value
+    with pytest.raises(FormatError, match=f"non-numeric value .* at {key!r} in state section"):
+        state_from_json_dict(triangle_net, doc)

@@ -18,6 +18,7 @@ from hydrostate import (
     select_independent_edges,
     solve_reservoir_heads_demands,
 )
+from hydrostate import completion
 from hydrostate.structure import EdgeDecomposition
 from hydrostate.testkit import random_ground_truth_state
 
@@ -230,6 +231,24 @@ class TestComplete:
                     key = ids[int(rng.integers(len(ids)))]
                     with pytest.raises(InconsistentObservationsError):
                         complete(net, _perturbed(obs, section, key), theorem)
+
+    def test_forest_route_checks_each_flow_once(self, monkeypatch):
+        checked = []
+
+        def counted(observed, mismatch, reference, tol):
+            checked.append((observed, mismatch.size))
+            return check(observed, mismatch, reference, tol)
+
+        check = completion._check
+        monkeypatch.setattr(completion, "_check", counted)
+        for k, net in enumerate(make_random_networks(10, seed0=161, max_nodes=25)):
+            truth = random_ground_truth_state(net, seed=k)
+            dec = select_independent_edges(net)
+            flows = [*dec.independent, *dec.dependent[:2]]
+            obs = _pattern_from_state(net, truth, net.reservoir_ids, flows)
+            checked.clear()
+            assert complete(net, obs).theorem is CompletionMethod.FOREST_FLOWS
+            assert [size for what, size in checked if what == "flows"] == [len(flows)]
 
     def test_not_covered(self, triangle_net):
         obs = ObservationSet(heads={"R": 100.0}, flows={"e3": 0.1})
