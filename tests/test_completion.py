@@ -669,13 +669,12 @@ class TestLinearHeadFactor:
                                  solve=net.linear_head_factor.solve)
 
     def test_built_once_and_only_for_the_linear_start(self, monkeypatch):
-        built = []
+        built, factor_heads = [], completion.factor_heads
 
         def counted(net, weights):
             built.append(net)
             return factor_heads(net, weights)
 
-        factor_heads = completion.factor_heads
         monkeypatch.setattr(completion, "factor_heads", counted)
         net = looped_grid(6, 7, seed=3)
         truth = random_ground_truth_state(net, seed=8)

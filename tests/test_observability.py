@@ -233,13 +233,12 @@ class TestComplete:
                         complete(net, _perturbed(obs, section, key), theorem)
 
     def test_forest_route_checks_each_flow_once(self, monkeypatch):
-        checked = []
+        checked, check = [], completion._check
 
         def counted(observed, mismatch, reference, tol):
             checked.append((observed, mismatch.size))
             return check(observed, mismatch, reference, tol)
 
-        check = completion._check
         monkeypatch.setattr(completion, "_check", counted)
         for k, net in enumerate(make_random_networks(10, seed0=161, max_nodes=25)):
             truth = random_ground_truth_state(net, seed=k)
