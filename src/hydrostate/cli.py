@@ -181,11 +181,10 @@ def _cmd_analyze(args) -> int:
     net = _load_network(args.network)
     try:
         pattern = ObservationSet.from_json_dict(_load_json(args.pattern))
-        pattern.validate(net)
+        verdict = classify_observation_pattern(net, pattern)
     except InvalidObservationError as exc:
         _diag(str(exc))
         return EXIT_FILE
-    verdict = classify_observation_pattern(net, pattern)
     _emit(verdict.to_json_dict())
     return EXIT_OK
 

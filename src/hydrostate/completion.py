@@ -60,7 +60,6 @@ from .structure import (
     pipe_positions,
     select_independent_edges,
     tree_walk,
-    walk_flows,
     walk_heads,
 )
 
@@ -152,22 +151,23 @@ class ObservationSet:
         }
 
 
+#: Floor on ``|q|`` in the Newton slopes, where the head-loss derivative vanishes at zero flow.
+ZERO_FLOW_EPSILON = 1e-8
+#: Step halvings a Newton step may take before the solve gives up.
+MAX_STEP_HALVINGS = 30
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration plumbing for the demand-driven solver."""
+    """Iteration budget and residual tolerance of the demand-driven solver."""
 
     max_iterations: int = 100
     tolerance: float = SOLVER_TOLERANCE
-    zero_flow_epsilon: float = 1e-8
-    initial_strategy: str = "linear"  # linear | forest | flat | random
-    random_seed: int | None = None
-    max_step_halvings: int = 30
 
     def __post_init__(self):
         require_tolerance(self.tolerance)
-        for name in ("max_iterations", "max_step_halvings"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
 
 
 def require_tolerance(tol: float) -> None:
@@ -401,11 +401,14 @@ def _check(observed: str, mismatch: np.ndarray, reference: np.ndarray, tol: floa
 def check_observations(net: Network, state: HydraulicState, obs: ObservationSet, tol: float):
     """Raise :class:`InconsistentObservationsError` unless flows obey the energy law on the heads of
     ``state``, and heads, then demands, equal its own within ``tol`` of the largest observed."""
-    pipes = np.array([j for j, pid in enumerate(net.pipe_ids) if pid in obs.flows], dtype=np.intp)
-    loss = observed_head_loss(net, pipes, np.array([obs.flows[net.pipe_ids[j]] for j in pipes]))
-    h, tails, ends = state.heads, net.tail_indices[pipes], net.head_indices[pipes]
-    reservoir = _assemble_heads(net, h[net.reservoir_indices], 0.0)
-    _check("flows", h[tails] - h[ends] - loss, loss - (reservoir[tails] - reservoir[ends]), tol)
+    if obs.flows:
+        pipes = np.array([net.pipe_index[pid] for pid in obs.flows], dtype=np.intp)
+        order = np.argsort(pipes)  # canonical order: an overflow names the first pipe
+        pipes, flows = pipes[order], np.array(list(obs.flows.values()))[order]
+        loss = observed_head_loss(net, pipes, flows)
+        h, tails, ends = state.heads, net.tail_indices[pipes], net.head_indices[pipes]
+        reservoir = _assemble_heads(net, h[net.reservoir_indices], 0.0)
+        _check("flows", h[tails] - h[ends] - loss, loss - (reservoir[tails] - reservoir[ends]), tol)
     completed = {"heads": state.heads, "demands": _assemble_heads(net, 0.0, state.demands)}
     for what, observed in (("heads", obs.heads), ("demands", obs.demands)):
         values = np.array(list(observed.values()))
@@ -489,41 +492,21 @@ def complete_from_forest_flows(
 
 
 def _initial_point(
-    net: Network,
-    reservoir_heads: np.ndarray,
-    demands: np.ndarray,
-    options: SolverOptions,
+    net: Network, reservoir_heads: np.ndarray, demands: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Starting flows and consumer heads for the Newton iteration."""
-    if options.initial_strategy == "linear":
-        # Solve the network with a linear head-loss law (conductance 1/r).
-        # One symmetric positive definite solve seeds every pipe with a flow
-        # of physically sensible size, so the first Jacobian is genuine on
-        # every pipe that matters. The matrix depends on the network alone,
-        # so it is factored once per network.
-        g = 1.0 / net.resistances
-        rhs = -demands - consumer_outflow(net, g * _pipe_drops(net, reservoir_heads, 0.0))
-        h_c = net.linear_head_factor.solve(rhs)
-        q = g * _pipe_drops(net, reservoir_heads, h_c)
-        return q, h_c
-    if options.initial_strategy == "forest":
-        # Mass-feasible start: forest flows carry the demands, chords stay dry.
-        steps = tree_walk(net)
-        q = walk_flows(steps, _assemble_heads(net, 0.0, demands), net.n_pipes)
-        h = _assemble_heads(net, reservoir_heads, 0.0)
-        h = walk_heads(steps, h, head_loss(q, net.resistances))
-        return q, h[net.consumer_indices]
-    if options.initial_strategy == "flat":
-        return np.zeros(net.n_pipes), np.full(net.n_consumers, float(np.mean(reservoir_heads)))
-    if options.initial_strategy == "random":
-        rng = np.random.default_rng(options.random_seed)
-        scale = max(1.0, float(np.max(np.abs(demands), initial=0.0)))
-        q = rng.uniform(-scale, scale, net.n_pipes)
-        lo = float(np.min(reservoir_heads)) - 10.0
-        hi = float(np.max(reservoir_heads)) + 10.0
-        h_c = rng.uniform(lo, hi, net.n_consumers)
-        return q, h_c
-    raise ValueError(f"unknown initial strategy: {options.initial_strategy!r}")
+    """Starting flows and consumer heads for the Newton iteration.
+
+    Solve the network with a linear head-loss law (conductance 1/r). One
+    symmetric positive definite solve seeds every pipe with a flow of
+    physically sensible size, so the first Jacobian is genuine on every pipe
+    that matters. The matrix depends on the network alone, so it is factored
+    once per network (:attr:`Network.linear_head_factor`).
+    """
+    g = 1.0 / net.resistances
+    rhs = -demands - consumer_outflow(net, g * _pipe_drops(net, reservoir_heads, 0.0))
+    h_c = net.linear_head_factor.solve(rhs)
+    q = g * _pipe_drops(net, reservoir_heads, h_c)
+    return q, h_c
 
 
 def _newton_step(net: Network, slope: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -562,11 +545,11 @@ def solve_reservoir_heads_demands(
     (the Global Gradient Algorithm, as in EPANET), where ``D = diag(f'(q))``.
     That matrix is factored block by block in the reverse Cuthill-McKee
     consumer order of :attr:`Network.head_band`, in O(n_c * b) memory for
-    bandwidth b, with numpy alone (see the module docstring); the ``linear``
-    start's matrix is factored once per network and cached as
-    :attr:`Network.linear_head_factor`. The head-loss
-    derivative vanishes at zero flow, so ``D`` clamps ``|q|`` from below by
-    ``options.zero_flow_epsilon``; the residual itself always uses the exact
+    bandwidth b, with numpy alone (see the module docstring); the start
+    solves the network with a linear head-loss law, whose matrix is factored
+    once per network and cached as :attr:`Network.linear_head_factor`. The
+    head-loss derivative vanishes at zero flow, so ``D`` clamps ``|q|`` from
+    below by ``ZERO_FLOW_EPSILON``; the residual itself always uses the exact
     nonlinearity, so the converged state is unbiased. Raises
     :class:`InvalidObservationError` on non-finite heads or demands and
     :class:`NonConvergenceError` when the iteration budget runs out or no
@@ -590,7 +573,7 @@ def solve_reservoir_heads_demands(
         mass = consumer_outflow(net, q) + d
         return np.concatenate([energy, mass])
 
-    q, h_c = _initial_point(net, h_r, d, opts)
+    q, h_c = _initial_point(net, h_r, d)
     F = residual_vector(q, h_c)
     norm = float(np.max(np.abs(F)))
 
@@ -598,7 +581,7 @@ def solve_reservoir_heads_demands(
     while norm > opts.tolerance:
         if iterations >= opts.max_iterations:
             raise NonConvergenceError(iterations, norm)
-        slope = x * r * np.maximum(np.abs(q), opts.zero_flow_epsilon) ** (x - 1.0)
+        slope = x * r * np.maximum(np.abs(q), ZERO_FLOW_EPSILON) ** (x - 1.0)
         try:
             dq, dh = _newton_step(net, slope, F)
         except np.linalg.LinAlgError:
@@ -609,7 +592,7 @@ def solve_reservoir_heads_demands(
 
         # Halve the step until the residual strictly decreases.
         lam = 1.0
-        for _ in range(opts.max_step_halvings + 1):
+        for _ in range(MAX_STEP_HALVINGS + 1):
             q_new = q + lam * dq
             h_new = h_c + lam * dh
             F_new = residual_vector(q_new, h_new)

@@ -192,7 +192,7 @@ class Network:
     def linear_head_factor(self) -> "HeadFactor":
         """Block factors of the linear-law head matrix ``Bc diag(1/r) Bc^T``, built on first use.
 
-        The ``linear`` Newton start solves with this matrix on every call; once
+        The Newton start solves with this matrix on every call; once
         factored, each solve is one forward and one back substitution. The
         factors hold about ``2 * n_c * head_band.block`` floats.
         """
@@ -204,9 +204,6 @@ class Network:
     def grounded_tree(self) -> "GroundedTree":
         """Canonical spanning forest with the reservoirs grounded, oriented from the ground."""
         return _grounded_tree(self)
-
-    def role_of(self, node_id: str) -> NodeRole:
-        return self.roles[self.node_index[node_id]]
 
 
 def _positions_of(roles: tuple[NodeRole, ...], role: NodeRole) -> np.ndarray:

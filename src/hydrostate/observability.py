@@ -8,7 +8,7 @@ observed values; :func:`complete` checks the values against the completed state.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .completion import (
     CompletionMethod, ObservationSet, SolveReport, SolverOptions, check_observations,
@@ -126,11 +126,12 @@ def complete(
         raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
     forest = None
     if theorem is None:
-        verdict = classify_observation_pattern(net, obs)
+        verdict = classify_observation_pattern(net, obs)  # validates obs
         if verdict.verdict not in _ROUTES:
             raise NotCoveredError(verdict.explanation, verdict.to_json_dict())
         theorem, forest = _ROUTES[verdict.verdict], verdict.detail.get("independent_flows")
-    obs.validate(net)
+    else:
+        obs.validate(net)
     if tol is None:
         demand_driven = theorem is CompletionMethod.DEMAND_DRIVEN
         tol = SolverOptions.tolerance if demand_driven else DEFAULT_IMAGE_TOL
@@ -139,6 +140,7 @@ def complete(
     elif theorem is CompletionMethod.HEADS_AND_FLOWS:
         h_r, q = obs.reservoir_head_vector(net), obs.flow_vector(net)
         report = complete_from_reservoir_heads_and_flows(net, h_r, q, tol)
+        obs = replace(obs, flows={})  # the route has checked every flow
     elif theorem is CompletionMethod.DEMAND_DRIVEN:
         h_r, d = obs.reservoir_head_vector(net), obs.demand_vector(net)
         options = SolverOptions(max_iterations=max_iterations, tolerance=tol)

@@ -119,15 +119,6 @@ def pipe_positions(net: Network, pipe_ids: Iterable[str]) -> list[int]:
         raise UnknownNodeError(f"unknown pipe id: {exc.args[0]!r}") from None
 
 
-def _forest_scan(net: Network, pipe_ids: Iterable[str]) -> tuple[str, ...]:
-    """The pipes of ``pipe_ids`` that join two components, in the order given.
-
-    One :func:`grounded_forest` pass over the graph with the reservoirs grounded.
-    """
-    ids = net.pipe_ids
-    return tuple(ids[j] for j in grounded_forest(net, pipe_positions(net, pipe_ids)))
-
-
 def greedy_independent_columns(net: Network, candidates: Iterable[str]) -> tuple[str, ...]:
     """Greedy maximal subset of ``candidates`` with independent consumer-row columns.
 
@@ -151,7 +142,7 @@ def flow_pattern_rank(net: Network, pipe_ids: Sequence[str]) -> int:
     That is the size of a spanning forest of those pipes in the graph with
     its reservoirs grounded, found by one union-find pass.
     """
-    return len(_forest_scan(net, pipe_ids))
+    return len(grounded_forest(net, pipe_positions(net, pipe_ids)))
 
 
 def select_independent_edges(net: Network) -> EdgeDecomposition:
@@ -266,15 +257,6 @@ def walk_heads(steps, heads: np.ndarray, loss: np.ndarray) -> np.ndarray:
     for child, parent, pipe, sign in steps:
         h[child] = h[parent] - sign * loss[pipe]
     return np.array(h)
-
-
-def walk_flows(steps, demands: np.ndarray, n_pipes: int) -> np.ndarray:
-    """Forest flows delivering the node ``demands``, summed from the leaves; other pipes dry."""
-    subtree, q = np.asarray(demands, dtype=float).tolist(), [0.0] * n_pipes
-    for child, parent, pipe, sign in reversed(steps):
-        q[pipe] = sign * subtree[child]
-        subtree[parent] += subtree[child]
-    return np.array(q)
 
 
 @dataclass(frozen=True)

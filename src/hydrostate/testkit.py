@@ -33,7 +33,6 @@ class GeneratorConfig:
     n_reservoirs: int = 1
     n_consumers: int = 3
     extra_edges: int = 0
-    head_range: tuple[float, float] = (50.0, 150.0)
     resistance_range: tuple[float, float] = (0.5, 5.0)
 
 
@@ -70,14 +69,10 @@ def _validate(cfg: GeneratorConfig) -> None:
         raise InfeasibleConfigError("need at least one reservoir and one consumer")
     if cfg.extra_edges < 0:
         raise InfeasibleConfigError("extra_edges must be nonnegative")
-    for name in ("head_range", "resistance_range"):
-        value = getattr(cfg, name)
-        if not all(math.isfinite(v) for v in value):
-            raise InfeasibleConfigError(f"{name} must be finite, got {value!r}")
-    lo, hi = cfg.head_range
-    if not lo <= hi:
-        raise InfeasibleConfigError("head_range must be a nonempty interval")
-    r_lo, r_hi = cfg.resistance_range
+    value = cfg.resistance_range
+    if not all(math.isfinite(v) for v in value):
+        raise InfeasibleConfigError(f"resistance_range must be finite, got {value!r}")
+    r_lo, r_hi = value
     if not (0 < r_lo <= r_hi):
         raise InfeasibleConfigError("resistance_range must be positive and nonempty")
     n = cfg.n_reservoirs + cfg.n_consumers

@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny hand-checkable networks, network builders and graph helpers."""
+"""Shared fixtures: small hand-checkable networks, builders, graph helpers and Newton starts."""
 
 import numpy as np
 import pytest
@@ -133,3 +133,26 @@ def edge_subset_is_forest(net: Network, pipe_ids) -> bool:
             return False
         parent[a] = b
     return True
+
+
+# --- Newton starts other than the solver's own --------------------------------
+# Pass one in with ``monkeypatch.setattr(completion, "_initial_point", start)``.
+
+
+def flat_start(net: Network, reservoir_heads, demands):
+    """Every pipe dry, at the zero-flow clamp, and every consumer at the mean reservoir head."""
+    return np.zeros(net.n_pipes), np.full(net.n_consumers, float(np.mean(reservoir_heads)))
+
+
+def random_start(seed):
+    """A start drawn from ``seed``: flows up to the largest demand, heads near the reservoirs'."""
+
+    def start(net: Network, reservoir_heads, demands):
+        rng = np.random.default_rng(seed)
+        scale = max(1.0, float(np.max(np.abs(demands), initial=0.0)))
+        q = rng.uniform(-scale, scale, net.n_pipes)
+        lo = float(np.min(reservoir_heads)) - 10.0
+        hi = float(np.max(reservoir_heads)) + 10.0
+        return q, rng.uniform(lo, hi, net.n_consumers)
+
+    return start

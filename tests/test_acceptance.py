@@ -13,7 +13,6 @@ import pytest
 from hydrostate import (
     InconsistentObservationsError,
     ObservationSet,
-    SolverOptions,
     Verdict,
     classify_observation_pattern,
     complete_from_forest_flows,
@@ -26,10 +25,13 @@ from hydrostate import (
     submatrix_rank,
     symmetric_expansion,
 )
+from hydrostate import completion
 from hydrostate.structure import integer_determinant
 from hydrostate.testkit import random_ground_truth_state
 
-from conftest import edge_subset_is_forest, make_random_networks, undirected_components
+from conftest import (
+    edge_subset_is_forest, make_random_networks, random_start, undirected_components,
+)
 
 
 def report(criterion: int, label: str, ok: bool, extra: str = "") -> None:
@@ -172,7 +174,7 @@ def test_criterion_4_round_trip_oracle(battery_100):
     )
 
 
-def test_criterion_5_demand_driven_solver(battery_100):
+def test_criterion_5_demand_driven_solver(monkeypatch, battery_100):
     start = time.perf_counter()
     ok = True
     for net, truth in battery_100:
@@ -190,8 +192,9 @@ def test_criterion_5_demand_driven_solver(battery_100):
         # uniqueness witness: five random starts land on the same solution
         solutions = []
         for seed in range(5):
-            opts = SolverOptions(initial_strategy="random", random_seed=seed)
-            multi = solve_reservoir_heads_demands(net, h_r, d, opts)
+            with monkeypatch.context() as patched:
+                patched.setattr(completion, "_initial_point", random_start(seed))
+                multi = solve_reservoir_heads_demands(net, h_r, d)
             solutions.append(
                 np.concatenate([multi.state.heads, multi.state.flows])
             )

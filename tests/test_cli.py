@@ -11,6 +11,7 @@ import pytest
 
 import hydrostate
 from hydrostate import (
+    ObservationSet,
     network_to_json_dict,
     observability,
     solve_reservoir_heads_demands,
@@ -654,6 +655,26 @@ class TestAnalyze:
         assert code == 0
         assert payload["verdict"] == "undetermined_rank_deficient"
         assert payload["detail"]["flow_rank"] == 1
+
+    def test_validates_the_pattern_once(self, capsys, monkeypatch, tmp_path, triangle_file):
+        calls, validate = [], ObservationSet.validate
+
+        def counted(pattern, net):
+            calls.append(pattern)
+            return validate(pattern, net)
+
+        monkeypatch.setattr(ObservationSet, "validate", counted)
+        obs = write_json(tmp_path / "pattern.json", {"heads": {"R": 100.0}, "flows": {"e3": 1.0}})
+        code, payload = invoke(capsys, ["analyze", triangle_file, "--pattern", obs])
+        assert code == 0 and payload["verdict"] == "undetermined_rank_deficient"
+        assert len(calls) == 1
+
+        calls.clear()
+        bad = write_json(tmp_path / "bad.json", {"heads": {"R": 100.0}, "flows": {"nope": 1.0}})
+        assert run_cli(["analyze", triangle_file, "--pattern", bad]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unknown pipe 'nope'" in captured.err
+        assert len(calls) == 1
 
 
 class TestOutputStability:

@@ -41,7 +41,7 @@ from hydrostate import (
 from hydrostate import completion
 from hydrostate.testkit import MAX_PARALLEL_PIPES, random_ground_truth_state
 
-from conftest import looped_grid, make_random_networks
+from conftest import flat_start, looped_grid, make_random_networks, random_start
 
 # 50-digit evaluations of the Hazen-Williams references used below:
 #   0.5**1.852            = 0.27700808696623150
@@ -134,11 +134,10 @@ class TestCompleteFromReservoirHeadsAndFlows:
         complete_from_reservoir_heads_and_flows(triangle_net, h_r, truth.flows, 1e-6)
 
 
-@pytest.mark.parametrize("field", ["max_iterations", "max_step_halvings"])
-def test_solver_options_reject_negative_counts(field):
-    with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
-        SolverOptions(**{field: -1})
-    assert getattr(SolverOptions(**{field: 0}), field) == 0
+def test_solver_options_reject_negative_iterations():
+    with pytest.raises(ValueError, match="max_iterations must be >= 0, got -1"):
+        SolverOptions(max_iterations=-1)
+    assert SolverOptions(max_iterations=0).max_iterations == 0
 
 
 def test_complete_rejects_negative_max_iterations(triangle_net):
@@ -252,20 +251,21 @@ class TestSolveReservoirHeadsDemands:
             assert np.max(np.abs(report.state.heads - truth.heads)) <= 1e-6
             assert np.max(np.abs(report.state.flows - truth.flows)) <= 1e-6
 
-    def test_multi_start_agreement(self, triangle_net):
+    def test_multi_start_agreement(self, monkeypatch, triangle_net):
         truth = random_ground_truth_state(triangle_net, seed=13)
         solutions = []
         for seed in range(5):
-            opts = SolverOptions(initial_strategy="random", random_seed=seed)
+            monkeypatch.setattr(completion, "_initial_point", random_start(seed))
             report = solve_reservoir_heads_demands(
-                triangle_net, truth.reservoir_heads(triangle_net), truth.demands, opts
+                triangle_net, truth.reservoir_heads(triangle_net), truth.demands
             )
             solutions.append(np.concatenate([report.state.heads, report.state.flows]))
         for other in solutions[1:]:
             assert np.max(np.abs(other - solutions[0])) <= 1e-6
 
-    def test_non_convergence_error(self, triangle_net):
-        opts = SolverOptions(max_iterations=1, initial_strategy="flat")
+    def test_non_convergence_error(self, monkeypatch, triangle_net):
+        monkeypatch.setattr(completion, "_initial_point", flat_start)
+        opts = SolverOptions(max_iterations=1)
         with pytest.raises(NonConvergenceError) as exc_info:
             solve_reservoir_heads_demands(
                 triangle_net, np.array([100.0]), np.array([5.0, 7.0]), opts
@@ -461,8 +461,14 @@ def dense_head_matrix(net, weights):
     return flat.reshape(n_c, n_c)
 
 
+#: The solver's own start, and the flat start that puts every pipe at the zero-flow clamp.
+STARTS = pytest.mark.parametrize(
+    "start", [completion._initial_point, flat_start], ids=["linear", "flat"]
+)
+
+
 def clamped_slope(net, q):
-    eps = SolverOptions().zero_flow_epsilon
+    eps = completion.ZERO_FLOW_EPSILON
     x = HAZEN_WILLIAMS_EXPONENT
     return x * net.resistances * np.maximum(np.abs(q), eps) ** (x - 1.0)
 
@@ -486,9 +492,7 @@ class TestSchurNewtonStep:
         h_r = rng.uniform(50.0, 150.0, n_reservoirs)
         d = rng.uniform(-1.0, 1.0, n_consumers)
         if flat:
-            # The solver's flat start: every pipe sits at the zero-flow clamp.
-            q = np.zeros(net.n_pipes)
-            h_c = np.full(n_consumers, h_r.mean())
+            q, h_c = flat_start(net, h_r, d)  # every pipe sits at the zero-flow clamp
         else:
             q = rng.uniform(-2.0, 2.0, net.n_pipes)
             h_c = rng.uniform(50.0, 150.0, n_consumers)
@@ -502,17 +506,17 @@ class TestSchurNewtonStep:
         for schur, kkt in zip(completion._newton_step(net, slope, F), kkt_step(net, slope, F)):
             assert np.max(np.abs(schur - kkt)) <= 1e-9 * np.max(np.abs(kkt))
 
-    @pytest.mark.parametrize("strategy", ["linear", "forest", "flat"])
-    def test_iterations_match_kkt_oracle(self, monkeypatch, strategy):
+    @STARTS
+    def test_iterations_match_kkt_oracle(self, monkeypatch, start):
         nets = make_random_networks(8, seed0=131, max_nodes=30)
         problems = []
         for k, net in enumerate(nets):
             truth = random_ground_truth_state(net, seed=k)
             problems.append((net, truth.reservoir_heads(net), truth.demands))
-        opts = SolverOptions(initial_strategy=strategy)
-        schur = [solve_reservoir_heads_demands(*p, opts) for p in problems]
+        monkeypatch.setattr(completion, "_initial_point", start)
+        schur = [solve_reservoir_heads_demands(*p) for p in problems]
         monkeypatch.setattr(completion, "_newton_step", kkt_step)
-        oracle = [solve_reservoir_heads_demands(*p, opts) for p in problems]
+        oracle = [solve_reservoir_heads_demands(*p) for p in problems]
         for a, b in zip(schur, oracle):
             assert a.iterations == b.iterations
             assert np.max(np.abs(a.state.flows - b.state.flows)) <= 1e-9
@@ -524,7 +528,7 @@ class TestSchurNewtonStep:
         for net in make_random_networks(5, seed0=141, max_nodes=30):
             truth = random_ground_truth_state(net, seed=1)
             h_r = truth.reservoir_heads(net)
-            q, h_c = completion._initial_point(net, h_r, truth.demands, SolverOptions())
+            q, h_c = completion._initial_point(net, h_r, truth.demands)
             F = dense_residual(net, h_r, truth.demands, q, h_c)
             assert np.max(np.abs(F[net.n_pipes :])) <= 1e-10
             drops = F[: net.n_pipes] + head_loss(q, net.resistances)
@@ -679,10 +683,10 @@ class TestLinearHeadFactor:
         net = looped_grid(6, 7, seed=3)
         truth = random_ground_truth_state(net, seed=8)
         h_r = truth.reservoir_heads(net)
-        for strategy in ("forest", "flat", "random"):
-            solve_reservoir_heads_demands(
-                net, h_r, truth.demands, SolverOptions(initial_strategy=strategy, random_seed=1)
-            )
+        for start in (flat_start, random_start(1)):
+            with monkeypatch.context() as patched:
+                patched.setattr(completion, "_initial_point", start)
+                solve_reservoir_heads_demands(net, h_r, truth.demands)
         assert built == []
         first = solve_reservoir_heads_demands(net, h_r, truth.demands)
         assert built == [net]
@@ -691,13 +695,13 @@ class TestLinearHeadFactor:
         assert np.array_equal(first.state.heads, second.state.heads)
 
 
-@pytest.mark.parametrize("strategy", ["linear", "forest", "flat"])
-def test_final_residual_is_the_states_own(strategy, triangle_net):
+@STARTS
+def test_final_residual_is_the_states_own(monkeypatch, start, triangle_net):
+    monkeypatch.setattr(completion, "_initial_point", start)
     nets = make_random_networks(6, seed0=151, max_nodes=30)
     for k, net in enumerate(nets):
         truth = random_ground_truth_state(net, seed=k)
-        opts = SolverOptions(initial_strategy=strategy)
-        report = solve_reservoir_heads_demands(net, truth.reservoir_heads(net), truth.demands, opts)
+        report = solve_reservoir_heads_demands(net, truth.reservoir_heads(net), truth.demands)
         assert report.final_residual == residuals(net, report.state)
     # Converged at the start, after no Newton step.
     report = solve_reservoir_heads_demands(triangle_net, np.array([100.0]), np.zeros(2))

@@ -8,6 +8,7 @@ from hydrostate import (
     InconsistentObservationsError,
     InvalidObservationError,
     NotCoveredError,
+    ObservationOverflowError,
     ObservationSet,
     Verdict,
     classify_observation_pattern,
@@ -243,11 +244,46 @@ class TestComplete:
         for k, net in enumerate(make_random_networks(10, seed0=161, max_nodes=25)):
             truth = random_ground_truth_state(net, seed=k)
             dec = select_independent_edges(net)
-            flows = [*dec.independent, *dec.dependent[:2]]
-            obs = _pattern_from_state(net, truth, net.reservoir_ids, flows)
-            checked.clear()
-            assert complete(net, obs).theorem is CompletionMethod.FOREST_FLOWS
-            assert [size for what, size in checked if what == "flows"] == [len(flows)]
+            # The forest route, chosen by the classifier, and the heads-and-flows route.
+            for theorem, flows in (
+                (CompletionMethod.FOREST_FLOWS, [*dec.independent, *dec.dependent[:2]]),
+                (CompletionMethod.HEADS_AND_FLOWS, net.pipe_ids),
+            ):
+                obs = _pattern_from_state(net, truth, net.reservoir_ids, flows)
+                auto = theorem is CompletionMethod.FOREST_FLOWS
+                checked.clear()
+                assert complete(net, obs, None if auto else theorem).theorem is theorem
+                assert [size for what, size in checked if what == "flows"] == [len(flows)]
+
+    def test_overflow_names_the_first_pipe_in_canonical_order(self, triangle_net):
+        truth = random_ground_truth_state(triangle_net, seed=2)
+        heads = _pattern_from_state(triangle_net, truth, triangle_net.node_ids).heads
+        obs = ObservationSet(heads=heads, flows={"e3": 1e300, "e2": 1e300})
+        with pytest.raises(ObservationOverflowError, match="pipe 'e2' overflows"):
+            complete(triangle_net, obs, CompletionMethod.ALL_HEADS)
+
+    def test_validates_the_observations_once(self, monkeypatch, triangle_net):
+        calls, validate = [], ObservationSet.validate
+
+        def counted(obs, net):
+            calls.append(obs)
+            return validate(obs, net)
+
+        monkeypatch.setattr(ObservationSet, "validate", counted)
+        truth = random_ground_truth_state(triangle_net, seed=2)
+        everything = (triangle_net.node_ids, triangle_net.pipe_ids, triangle_net.consumer_ids)
+        obs = _pattern_from_state(triangle_net, truth, *everything)
+        for theorem in (None, *CompletionMethod):
+            calls.clear()
+            assert complete(triangle_net, obs, theorem).theorem is (
+                theorem or CompletionMethod.ALL_HEADS
+            )
+            assert len(calls) == 1
+        for theorem in (None, CompletionMethod.ALL_HEADS):
+            calls.clear()
+            with pytest.raises(InvalidObservationError, match="unknown node 'nope'"):
+                complete(triangle_net, ObservationSet(heads={"nope": 1.0}), theorem)
+            assert len(calls) == 1
 
     def test_not_covered(self, triangle_net):
         obs = ObservationSet(heads={"R": 100.0}, flows={"e3": 0.1})

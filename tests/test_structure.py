@@ -13,14 +13,11 @@ from hydrostate import (
     EmptySubsetError,
     GeneratorConfig,
     PipeParams,
-    SolverOptions,
     UnknownNodeError,
     build_network,
     complete_from_forest_flows,
     complete_from_reservoir_heads_and_flows,
-    completion,
     cycle_space_basis,
-    head_loss,
     image_membership,
     incidence_matrix,
     params_for_resistance,
@@ -32,14 +29,12 @@ from hydrostate import network, structure
 from hydrostate.network import orient_forest
 from hydrostate.structure import (
     DEFAULT_IMAGE_TOL,
-    _forest_scan,
     flow_pattern_rank,
     greedy_independent_columns,
     integer_determinant,
     integer_rank,
     pipe_positions,
     tree_walk,
-    walk_flows,
     walk_heads,
 )
 from hydrostate.testkit import MAX_PARALLEL_PIPES, random_ground_truth_state
@@ -380,6 +375,12 @@ def assert_close(actual, expected, rtol):
     )
 
 
+def scanned_forest(net, pipe_ids):
+    """The pipes of ``pipe_ids`` that join two grounded components, in the order given."""
+    positions = network.grounded_forest(net, pipe_positions(net, pipe_ids))
+    return tuple(net.pipe_ids[j] for j in positions)
+
+
 class TestTreeWalk:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -391,7 +392,7 @@ class TestTreeWalk:
         h0[net.reservoir_indices] = h_r
 
         # Heads along a forest found by scanning the pipes in a random order.
-        forest = _forest_scan(net, data.draw(st.permutations(net.pipe_ids)))
+        forest = scanned_forest(net, data.draw(st.permutations(net.pipe_ids)))
         loss = rng.uniform(-10.0, 10.0, net.n_pipes)
         walked = walk_heads(tree_walk(net, forest), h0, loss)
         assert np.array_equal(walked[net.reservoir_indices], h_r)
@@ -413,25 +414,12 @@ class TestTreeWalk:
             assert not result.member and not lstsq_membership(net, target)[0]
             assert result.consumer_heads is None
 
-        # The forest Newton start: the forest carries the demands, Bc q = -d.
-        d = rng.uniform(-1.0, 1.0, net.n_consumers)
-        opts = SolverOptions(initial_strategy="forest")
-        q, start_heads = completion._initial_point(net, h_r, d, opts)
-        dec = select_independent_edges(net)
-        cols = [net.pipe_index[pid] for pid in dec.independent]
-        Bc = incidence_matrix(net).restrict(nodes=net.consumer_ids, pipes=dec.independent)
-        assert_close(q[cols], np.linalg.solve(Bc.entries.astype(float), -d), 1e-9)
-        assert not np.any(np.delete(q, cols))
-        loss = head_loss(q, net.resistances)
-        assert_close(start_heads, dense_forest_heads(net, dec.independent, h_r, loss), 1e-9)
-
     def test_orientation_and_order(self, path_net):
         # R -> c1 -> c2 along the canonical orientation; c1 is reached first.
         steps = tree_walk(path_net)
         assert steps == ((1, 0, 0, 1), (2, 1, 1, 1))
         heads = walk_heads(steps, np.array([100.0, 0.0, 0.0]), np.array([1.0, 0.5]))
         assert heads.tolist() == [100.0, 99.0, 98.5]
-        assert walk_flows(steps, np.array([0.0, 0.5, 0.5]), 2).tolist() == [1.0, 0.5]
 
     def test_empty_forest_with_every_node_grounded(self, triangle_net):
         steps = tree_walk(triangle_net, (), range(triangle_net.n_nodes))
@@ -475,7 +463,7 @@ class TestGroundedTree:
         net = data.draw(shuffled_networks())
         tree = net.grounded_tree
         reservoirs = net.reservoir_indices.tolist()
-        canonical = _forest_scan(net, net.pipe_ids)
+        canonical = scanned_forest(net, net.pipe_ids)
         assert tree.forest == canonical
         assert tree.chords == tuple(pid for pid in net.pipe_ids if pid not in canonical)
         assert tree.steps == orient_forest(net, pipe_positions(net, canonical), reservoirs)
@@ -489,7 +477,7 @@ class TestGroundedTree:
         assert tree_walk(net, canonical, net.reservoir_indices) is tree.steps
 
         # A forest from a permuted scan, or another grounded order, is walked afresh.
-        permuted = _forest_scan(net, data.draw(st.permutations(net.pipe_ids)))
+        permuted = scanned_forest(net, data.draw(st.permutations(net.pipe_ids)))
         walked = tree_walk(net, permuted)
         assert walked == orient_forest(net, pipe_positions(net, permuted), reservoirs)
         assert_valid_orientation(net, permuted, reservoirs, walked)
