@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from hydrostate import Network, build_network, params_for_resistance
+from hydrostate import Network, build_network, head_loss, params_for_resistance
+from hydrostate.structure import tree_walk, walk_heads
 from hydrostate.testkit import GeneratorConfig, random_connected_wds
 
 
@@ -142,6 +143,23 @@ def edge_subset_is_forest(net: Network, pipe_ids) -> bool:
 def flat_start(net: Network, reservoir_heads, demands):
     """Every pipe dry, at the zero-flow clamp, and every consumer at the mean reservoir head."""
     return np.zeros(net.n_pipes), np.full(net.n_consumers, float(np.mean(reservoir_heads)))
+
+
+def forest_start(net: Network, reservoir_heads, demands):
+    """A mass-feasible start: forest flows carry the demands, summed from the leaves; chords dry.
+
+    Consumer heads follow the forest's head losses down from the reservoirs.
+    """
+    steps = tree_walk(net)
+    subtree, q = np.zeros(net.n_nodes), np.zeros(net.n_pipes)
+    subtree[net.consumer_indices] = demands
+    for child, parent, pipe, sign in reversed(steps):
+        q[pipe] = sign * subtree[child]
+        subtree[parent] += subtree[child]
+    h = np.zeros(net.n_nodes)
+    h[net.reservoir_indices] = reservoir_heads
+    h = walk_heads(steps, h, head_loss(q, net.resistances))
+    return q, h[net.consumer_indices]
 
 
 def random_start(seed):

@@ -41,7 +41,7 @@ from hydrostate import (
 from hydrostate import completion
 from hydrostate.testkit import MAX_PARALLEL_PIPES, random_ground_truth_state
 
-from conftest import flat_start, looped_grid, make_random_networks, random_start
+from conftest import flat_start, forest_start, looped_grid, make_random_networks, random_start
 
 # 50-digit evaluations of the Hazen-Williams references used below:
 #   0.5**1.852            = 0.27700808696623150
@@ -461,9 +461,12 @@ def dense_head_matrix(net, weights):
     return flat.reshape(n_c, n_c)
 
 
-#: The solver's own start, and the flat start that puts every pipe at the zero-flow clamp.
+#: The solver's own start, a mass-feasible start with dry chords, and the flat start that puts
+#: every pipe at the zero-flow clamp.
 STARTS = pytest.mark.parametrize(
-    "start", [completion._initial_point, flat_start], ids=["linear", "flat"]
+    "start",
+    [completion._initial_point, forest_start, flat_start],
+    ids=["linear", "forest", "flat"],
 )
 
 
@@ -683,7 +686,7 @@ class TestLinearHeadFactor:
         net = looped_grid(6, 7, seed=3)
         truth = random_ground_truth_state(net, seed=8)
         h_r = truth.reservoir_heads(net)
-        for start in (flat_start, random_start(1)):
+        for start in (forest_start, flat_start, random_start(1)):
             with monkeypatch.context() as patched:
                 patched.setattr(completion, "_initial_point", start)
                 solve_reservoir_heads_demands(net, h_r, truth.demands)
