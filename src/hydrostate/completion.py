@@ -11,12 +11,8 @@ Four routes recover a full physically correct state:
   damped Newton iteration on the coupled energy/mass system, whose solution
   exists and is unique. Each step eliminates the flows and solves only the
   symmetric positive definite consumer-head system (the Global Gradient
-  Algorithm of Todini & Pilati). Consumers are numbered in reverse
-  Cuthill-McKee order, which makes that matrix banded with a small
-  bandwidth b on mesh-like networks, and a block-tridiagonal elimination
-  solves it in O(n_c * b) memory. The solver uses numpy only:
-  ``import scipy.sparse.linalg`` alone costs about 0.45 s and 32 MB of
-  resident memory, more than a whole solve of a few thousand consumers.
+  Algorithm of Todini & Pilati), by the block elimination of
+  :mod:`hydrostate.band`.
 
 Every route rejects non-finite heads, flows and demands.
 """
@@ -53,7 +49,8 @@ from .hydraulics import (
     residuals,
     state_to_json_dict,
 )
-from .network import HeadBand, Network, consumer_outflow
+from .band import solve_heads
+from .network import Network, consumer_outflow
 from .structure import (
     DEFAULT_IMAGE_TOL,
     EdgeDecomposition,
@@ -211,126 +208,6 @@ def _pipe_drops(
     return h[net.tail_indices] - h[net.head_indices]
 
 
-def _eliminate(net: Network, weights: np.ndarray, rhs: np.ndarray | None):
-    """Forward block elimination of ``A = Bc diag(weights) Bc^T``: the one loop of every head solve.
-
-    A pipe adds its weight on the diagonal at each consumer end and subtracts
-    it at the two off-diagonal cells when both ends are consumers; one
-    scatter over :attr:`Network.head_band` fills the blocks of the matrix in
-    reverse Cuthill-McKee order. With diagonal blocks ``D_k`` and blocks
-    ``L_k`` below them, the Schur complements are ``S_0 = D_0`` and
-    ``S_{k+1} = D_{k+1} - L_k S_k^-1 L_k^T``. ``L_k`` is nonzero only in its
-    coupled rows ``I = band.coupled[k]``, so step ``k`` solves ``S_k``
-    against the ``|I|`` columns of ``L_k[I]^T`` and updates only the
-    ``I x I`` cells of ``S_{k+1}``. The matrix is symmetric positive
-    definite, so every ``S_k`` is too and pivoting inside each block
-    suffices. Time is O(n_c * block**2) and memory O(n_c * block).
-
-    Each solve carries the reduced right-hand side ``y_k`` as one more
-    column. Returns the solution ``S_k^-1 [L_k[I]^T | y_k]`` of every step
-    but the last, the last Schur complement with ``y`` as its last column,
-    and, without ``rhs`` (``y = 0``), the inverse of every Schur complement
-    but the last, which solves the same matrix for later right-hand sides.
-    """
-    band = net.head_band
-    s, n = band.block, band.n_blocks
-    values = weights[band.pipes]
-    values[band.n_diagonal :] *= -1.0
-    flat = np.bincount(band.cells, values, minlength=band.lower_starts[-1])
-    flat[band.padding] = 1.0
-    diagonal = flat[: n * s * (s + 1)].reshape(n, s, s + 1)
-    if rhs is None:
-        inverses = []
-    else:
-        inverses = None
-        diagonal[:, :, s] = _blocked(band, rhs)
-
-    schur, steps = diagonal[0], []
-    for k, rows in enumerate(band.coupled):
-        m = len(rows)
-        lower = flat[band.lower_starts[k] : band.lower_starts[k + 1]].reshape(s, m + 1)
-        lower[:, m] = schur[:, s]
-        if inverses is None:
-            step = np.linalg.solve(schur[:, :s], lower)
-        else:
-            inverses.append(np.linalg.inv(schur[:, :s]))
-            step = inverses[-1] @ lower
-        steps.append(step)
-        schur = diagonal[k + 1]
-        schur.reshape(-1)[band.updates[k]] -= (lower[:, :m].T @ step).reshape(-1)
-    return steps, schur, inverses
-
-
-def _blocked(band: HeadBand, rhs: np.ndarray) -> np.ndarray:
-    """``rhs`` in head-band order, zero-padded to ``n_blocks x block``."""
-    y = np.zeros(band.n_blocks * band.block)
-    y[: len(band.order)] = rhs[band.order]
-    return y.reshape(band.n_blocks, band.block)
-
-
-def _back_substitute(
-    band: HeadBand, steps: Sequence[np.ndarray], z: list[np.ndarray]
-) -> np.ndarray:
-    """``x_k = z_k - S_k^-1 L_k[I]^T x_{k+1}[I]`` from the last block up, in consumer order."""
-    x = np.empty((band.n_blocks, band.block))
-    x[-1] = z[-1]
-    for k in range(band.n_blocks - 2, -1, -1):
-        rows = band.coupled[k]
-        x[k] = z[k] - steps[k][:, : len(rows)] @ x[k + 1, rows]
-    out = np.empty(len(band.order))
-    out[band.order] = x.reshape(-1)[: len(band.order)]
-    return out
-
-
-def _solve_heads(net: Network, weights: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``Bc diag(weights) Bc^T x = rhs`` for positive pipe weights, in one pass.
-
-    The elimination (:func:`_eliminate`) carries ``rhs`` along, so nothing
-    outlives the call: each Newton step has new weights.
-    """
-    steps, last, _ = _eliminate(net, weights, rhs)
-    s = net.head_band.block
-    z = [step[:, -1] for step in steps]
-    z.append(np.linalg.solve(last[:, :s], last[:, s]))
-    return _back_substitute(net.head_band, steps, z)
-
-
-@dataclass(frozen=True, eq=False)
-class HeadFactor:
-    """Block factors of ``Bc diag(weights) Bc^T``, reusable for any right-hand side.
-
-    ``steps[k]`` is ``S_k^-1 [L_k[I]^T | 0]`` from :func:`_eliminate` and
-    ``inverses[k]`` is ``S_k^-1``. Together they hold at most
-    ``2 * n_c * block`` floats; on looped grids 0.19 MB at 500 consumers
-    (block 32), 1.4 MB at 2000 (block 57) and 15 MB at 10**4 (block 124).
-    """
-
-    band: HeadBand
-    steps: tuple[np.ndarray, ...]
-    inverses: tuple[np.ndarray, ...]
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """One forward and one back substitution, O(n_c * block) per call."""
-        y = _blocked(self.band, rhs)
-        z = []
-        for k, rows in enumerate(self.band.coupled):
-            step, m = self.steps[k], len(rows)
-            z.append(self.inverses[k] @ y[k])
-            # L_k[I] S_k^-1 y_k, with S_k^-1 L_k[I]^T at the front of the step.
-            y[k + 1, rows] -= step[:, :m].T @ y[k]
-        z.append(self.inverses[-1] @ y[-1])
-        return _back_substitute(self.band, self.steps, z)
-
-
-def factor_heads(net: Network, weights: np.ndarray) -> HeadFactor:
-    """Factor ``Bc diag(weights) Bc^T`` by the elimination of :func:`_solve_heads`."""
-    steps, last, inverses = _eliminate(net, weights, None)
-    inverses.append(np.linalg.inv(last[:, : net.head_band.block]))
-    for arr in (*steps, *inverses):
-        arr.setflags(write=False)
-    return HeadFactor(net.head_band, tuple(steps), tuple(inverses))
-
-
 def _require_finite(what: str, values: np.ndarray) -> None:
     if not np.isfinite(values).all():
         raise InvalidObservationError(f"{what} must be finite")
@@ -482,12 +359,18 @@ def complete_from_forest_flows(
     h_r = np.asarray(reservoir_heads, dtype=float)
     if h_r.shape != (net.n_reservoirs,):
         raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
+    return _forest_flows_route(net, h_r, dec.independent, forest_flows)
 
-    q_forest = np.array([float(forest_flows[pid]) for pid in dec.independent])
-    forest = np.array(pipe_positions(net, dec.independent), dtype=np.intp)
+
+def _forest_flows_route(
+    net: Network, h_r: np.ndarray, forest: Sequence[str], flows: Mapping[str, float]
+) -> SolveReport:
+    """The forest-flows route on the pipes ``forest``; ``flows`` may hold other pipes too."""
+    q_forest = np.array([float(flows[pid]) for pid in forest])
+    positions = np.array(pipe_positions(net, forest), dtype=np.intp)
     return _complete_on_forest(
-        net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, dec.independent,
-        forest, q_forest, None, CompletionMethod.FOREST_FLOWS,
+        net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, forest,
+        positions, q_forest, None, CompletionMethod.FOREST_FLOWS,
     )
 
 
@@ -520,7 +403,7 @@ def _newton_step(net: Network, slope: np.ndarray, F: np.ndarray) -> tuple[np.nda
     energy, mass = F[: net.n_pipes], F[net.n_pipes :]
     g = 1.0 / slope
     rhs = -mass - consumer_outflow(net, g * energy)
-    dh = _solve_heads(net, g, rhs)
+    dh = solve_heads(net.head_band, g, rhs)
     dq = g * (_pipe_drops(net, 0.0, dh) + energy)
     return dq, dh
 
@@ -543,9 +426,7 @@ def solve_reservoir_heads_demands(
     step eliminates the flow update and solves the reduced symmetric positive
     definite system ``Bc D^-1 Bc^T dh_c = ...`` over the consumer heads alone
     (the Global Gradient Algorithm, as in EPANET), where ``D = diag(f'(q))``.
-    That matrix is factored block by block in the reverse Cuthill-McKee
-    consumer order of :attr:`Network.head_band`, in O(n_c * b) memory for
-    bandwidth b, with numpy alone (see the module docstring); the start
+    :mod:`hydrostate.band` solves that matrix by block elimination; the start
     solves the network with a linear head-loss law, whose matrix is factored
     once per network and cached as :attr:`Network.linear_head_factor`. The
     head-loss derivative vanishes at zero flow, so ``D`` clamps ``|q|`` from

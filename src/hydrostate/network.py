@@ -6,7 +6,9 @@ head node index of every pipe, and its length, diameter and roughness. Every
 physical pipe is stored once, with the orientation given at construction time
 as its canonical orientation; flow signs downstream are interpreted relative
 to that orientation. Networks and incidence matrices are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads. Derived structures, such as
+the grounded tree and the head-matrix layout of :mod:`hydrostate.band`, are
+cached on first use.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import band
 from .errors import (
     DecompositionMismatchError,
     DisconnectedNetworkError,
@@ -30,9 +33,6 @@ from .errors import (
     SelfLoopError,
     UnknownNodeError,
 )
-
-if TYPE_CHECKING:
-    from .completion import HeadFactor
 
 #: Exponent of the Hazen-Williams head-loss law.
 HAZEN_WILLIAMS_EXPONENT = 1.852
@@ -184,21 +184,18 @@ class Network:
         return r
 
     @cached_property
-    def head_band(self) -> "HeadBand":
+    def head_band(self) -> band.HeadBand:
         """Block-tridiagonal layout of the consumer-head matrix ``Bc diag(w) Bc^T``."""
-        return _head_band(self)
+        return band.head_band(self)
 
     @cached_property
-    def linear_head_factor(self) -> "HeadFactor":
+    def linear_head_factor(self) -> band.HeadFactor:
         """Block factors of the linear-law head matrix ``Bc diag(1/r) Bc^T``, built on first use.
 
         The Newton start solves with this matrix on every call; once
-        factored, each solve is one forward and one back substitution. The
-        factors hold about ``2 * n_c * head_band.block`` floats.
+        factored, each solve is one forward and one back substitution.
         """
-        from .completion import factor_heads  # completion builds on this module
-
-        return factor_heads(self, 1.0 / self.resistances)
+        return band.factor_heads(self.head_band, 1.0 / self.resistances)
 
     @cached_property
     def grounded_tree(self) -> "GroundedTree":
@@ -210,160 +207,6 @@ def _positions_of(roles: tuple[NodeRole, ...], role: NodeRole) -> np.ndarray:
     idx = np.array([i for i, r in enumerate(roles) if r is role], dtype=np.intp)
     idx.setflags(write=False)
     return idx
-
-
-#: Smallest block of :class:`HeadBand`. Each block costs one Python-level
-#: elimination step, so a path-like network (bandwidth 1) still takes blocks
-#: large enough that the per-step overhead stays below the arithmetic.
-_MIN_HEAD_BLOCK = 32
-
-
-@dataclass(frozen=True, eq=False)
-class HeadBand:
-    """Where each pipe's weight lands in the blocks of the consumer-head matrix.
-
-    Consumers are renumbered by ``order`` (reverse Cuthill-McKee over the
-    consumer-consumer pipes), which keeps every such pipe within
-    ``bandwidth`` ranks of the diagonal. With ``block >= bandwidth`` the
-    matrix, padded with an identity to ``n_blocks * block`` rows, is
-    block-tridiagonal in ``block x block`` blocks. Block row ``k + 1`` meets
-    block column ``k`` only in its coupled rows ``coupled[k]`` (increasing;
-    about half of a block on mesh-like networks), the consumers of block
-    ``k + 1`` joined to block ``k`` by a pipe.
-
-    The blocks are stored flat. First come the ``n_blocks`` diagonal blocks,
-    each with one more column for a right-hand side (``block x (block + 1)``).
-    From ``lower_starts[k]`` to ``lower_starts[k + 1]`` follows the
-    transpose of the block below diagonal block ``k``, kept to its coupled
-    columns and again with one more column (``block x (len(coupled[k]) + 1)``).
-    Entry ``e`` adds ``weight[pipes[e]]`` to cell ``cells[e]``, negated from
-    ``n_diagonal`` on; ``padding`` lists the diagonal cells of the identity
-    padding. ``updates[k]`` lists the cells of diagonal block ``k + 1`` that
-    the elimination of block ``k`` changes: the coupled rows, at the coupled
-    columns and the right-hand side, row by row.
-    """
-
-    order: np.ndarray
-    bandwidth: int
-    block: int
-    n_blocks: int
-    pipes: np.ndarray
-    cells: np.ndarray
-    n_diagonal: int
-    padding: np.ndarray
-    coupled: tuple[np.ndarray, ...]
-    lower_starts: tuple[int, ...]
-    updates: tuple[np.ndarray, ...]
-
-
-def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
-    """Reverse Cuthill-McKee order of a graph given by adjacency lists (sorted in place).
-
-    Each connected component in turn is numbered breadth-first from a
-    pseudo-peripheral node (George & Liu), visiting neighbours by increasing
-    degree; reversing the whole numbering leaves the bandwidth unchanged and
-    reduces fill.
-    """
-    degree = [len(nb) for nb in neighbours]
-    for nb in neighbours:
-        nb.sort(key=lambda v: (degree[v], v))
-
-    def levels(root: int) -> list[list[int]]:
-        seen = {root}
-        out = [[root]]
-        while True:
-            nxt = []
-            for v in out[-1]:
-                for w in neighbours[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if not nxt:
-                return out
-            out.append(nxt)
-
-    placed = [False] * len(neighbours)
-    order: list[int] = []
-    for start in range(len(neighbours)):
-        if placed[start]:
-            continue
-        root, structure = start, levels(start)
-        while True:
-            candidate = min(structure[-1], key=lambda v: (degree[v], v))
-            deeper = levels(candidate)
-            if len(deeper) <= len(structure):
-                break
-            root, structure = candidate, deeper
-        placed[root] = True
-        component = [root]
-        for v in component:
-            for w in neighbours[v]:
-                if not placed[w]:
-                    placed[w] = True
-                    component.append(w)
-        order.extend(component)
-    order.reverse()
-    return order
-
-
-def _head_band(net: Network) -> HeadBand:
-    n_c = net.n_consumers
-    position = np.full(net.n_nodes, -1)
-    position[net.consumer_indices] = np.arange(n_c)
-    tails, heads = position[net.tail_indices], position[net.head_indices]
-    inner = np.flatnonzero((tails >= 0) & (heads >= 0))
-
-    neighbours: list[set[int]] = [set() for _ in range(n_c)]
-    for a, b in zip(tails[inner].tolist(), heads[inner].tolist()):
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    order = np.array(_reverse_cuthill_mckee([list(nb) for nb in neighbours]), dtype=np.intp)
-    rank = np.empty(n_c, dtype=np.intp)
-    rank[order] = np.arange(n_c)
-
-    inner_ranks = rank[tails[inner]], rank[heads[inner]]
-    lo, hi = np.minimum(*inner_ranks), np.maximum(*inner_ranks)
-    bandwidth = int(np.max(hi - lo, initial=0))
-    s = max(bandwidth, _MIN_HEAD_BLOCK)
-    n_blocks = -(-n_c // s)
-    width = s + 1  # a diagonal block and its right-hand side column
-
-    def diagonal_cell(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return (i // s) * s * width + (i % s) * width + j % s
-
-    end_pipes = np.concatenate([np.flatnonzero(tails >= 0), np.flatnonzero(heads >= 0)])
-    end_ranks = rank[np.concatenate([tails[tails >= 0], heads[heads >= 0]])]
-    same = lo // s == hi // s
-    # A pipe between blocks k and k + 1 couples row hi % s of block k + 1;
-    # block k's coupled rows are the sorted keys in [k * s, (k + 1) * s).
-    k, row = lo[~same] // s, hi[~same] % s
-    present = np.zeros(n_blocks * s, dtype=bool)
-    present[k * s + row] = True
-    keys = np.flatnonzero(present)
-    starts = np.searchsorted(keys, np.arange(n_blocks) * s)
-    coupled = tuple(keys[a:b] % s for a, b in zip(starts.tolist(), starts[1:].tolist()))
-    n_coupled = np.diff(starts)
-    lower_starts = n_blocks * s * width + s * np.concatenate([[0], np.cumsum(n_coupled + 1)])
-    column = np.searchsorted(keys, k * s + row) - starts[k]
-    below = lower_starts[k] + (lo[~same] % s) * (n_coupled[k] + 1) + column
-    pipes = np.concatenate([end_pipes, inner[same], inner[same], inner[~same]])
-    cells = np.concatenate(
-        [
-            diagonal_cell(end_ranks, end_ranks),
-            diagonal_cell(lo[same], hi[same]),
-            diagonal_cell(hi[same], lo[same]),
-            below,
-        ]
-    )
-    pad = np.arange(n_c, n_blocks * s)
-    padding = diagonal_cell(pad, pad)
-    updates = tuple((rows[:, None] * width + np.append(rows, s)).reshape(-1) for rows in coupled)
-    for arr in (order, pipes, cells, padding, *coupled, *updates):
-        arr.setflags(write=False)
-    return HeadBand(
-        order, bandwidth, s, n_blocks, pipes, cells, len(end_pipes), padding, coupled,
-        tuple(lower_starts.tolist()), updates,
-    )
 
 
 @dataclass(frozen=True, eq=False)

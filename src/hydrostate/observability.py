@@ -1,8 +1,8 @@
 """Classify observation patterns by which guarantee covers them, and complete by it.
 
 The classifier is purely structural: it looks at which ids are observed and
-at column ranks (one union-find scan of the observed pipes), never at the
-observed values; :func:`complete` checks the values against the completed state.
+at column ranks (at most one union-find scan of the observed pipes), never at
+the observed values; :func:`complete` checks the values against the completed state.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .completion import (
-    CompletionMethod, ObservationSet, SolveReport, SolverOptions, check_observations,
-    complete_from_forest_flows, complete_from_heads, complete_from_reservoir_heads_and_flows,
+    CompletionMethod, ObservationSet, SolveReport, SolverOptions, _forest_flows_route,
+    check_observations, complete_from_heads, complete_from_reservoir_heads_and_flows,
     require_tolerance, solve_reservoir_heads_demands,
 )
 from .errors import NotCoveredError
 from .network import Network
-from .structure import DEFAULT_IMAGE_TOL, EdgeDecomposition, greedy_independent_columns
+from .structure import DEFAULT_IMAGE_TOL, greedy_independent_columns
 
 
 class Verdict(enum.Enum):
@@ -152,9 +152,6 @@ def complete(
             message = "observed flows do not span a forest reaching every consumer"
             detail = {"error": "rank_deficient_flows", "message": message, "flow_rank": len(forest)}
             raise NotCoveredError(message, {**detail, "required_rank": net.n_consumers})
-        chosen = set(forest)
-        dec = EdgeDecomposition(tuple(forest), tuple(p for p in net.pipe_ids if p not in chosen))
-        forest_flows = {pid: obs.flows[pid] for pid in forest}
-        report = complete_from_forest_flows(net, obs.reservoir_head_vector(net), forest_flows, dec)
+        report = _forest_flows_route(net, obs.reservoir_head_vector(net), forest, obs.flows)
     check_observations(net, report.state, obs, tol)
     return report

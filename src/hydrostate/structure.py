@@ -126,13 +126,19 @@ def greedy_independent_columns(net: Network, candidates: Iterable[str]) -> tuple
     raises the rank of the consumer-row columns kept so far, that is, when it
     joins two components of the graph with its reservoirs grounded. This is
     one union-find pass; by the matroid greedy argument it keeps the same
-    pipes as a scan by exact rank.
+    pipes as a scan by exact rank. Candidates holding the forest of a built
+    :attr:`Network.grounded_tree` skip the pass: it would keep each forest
+    pipe and reject every other one, spanned by the forest pipes before it.
     """
-    wanted, ids = set(candidates), net.pipe_ids
+    wanted = set(candidates)
+    unknown = wanted.difference(net.pipe_index)
+    if unknown:
+        raise UnknownNodeError(f"unknown pipe id: {min(unknown)!r}")
+    tree = vars(net).get("grounded_tree")  # building the tree costs more than this scan
+    if tree is not None and wanted.issuperset(tree.forest):
+        return tree.forest
+    ids = net.pipe_ids
     positions = [j for j, pid in enumerate(ids) if pid in wanted]
-    if len(positions) < len(wanted):
-        unknown = sorted(pid for pid in wanted if pid not in net.pipe_index)
-        raise UnknownNodeError(f"unknown pipe id: {unknown[0]!r}")
     return tuple(ids[j] for j in grounded_forest(net, positions))
 
 

@@ -38,7 +38,7 @@ from hydrostate import (
     select_independent_edges,
     solve_reservoir_heads_demands,
 )
-from hydrostate import completion
+from hydrostate import band, completion
 from hydrostate.testkit import MAX_PARALLEL_PIPES, random_ground_truth_state
 
 from conftest import flat_start, forest_start, looped_grid, make_random_networks, random_start
@@ -555,35 +555,40 @@ def chain_network(lengths, seed=0):
     return build_network(nodes, pipes)
 
 
-def assert_band_layout(net):
-    """The order is a permutation and every consumer-consumer pipe stays within one block."""
-    band = net.head_band
-    n_c = net.n_consumers
-    assert sorted(band.order.tolist()) == list(range(n_c))
-    assert band.block >= max(band.bandwidth, 1)
-    assert band.n_blocks * band.block >= n_c > (band.n_blocks - 1) * band.block
-    rank = np.empty(n_c, dtype=int)
-    rank[band.order] = np.arange(n_c)
+def inner_pipe_ends(net):
+    """Consumer positions of the two ends of every consumer-consumer pipe."""
     position = np.full(net.n_nodes, -1)
-    position[net.consumer_indices] = np.arange(n_c)
+    position[net.consumer_indices] = np.arange(net.n_consumers)
     tails, heads = position[net.tail_indices], position[net.head_indices]
     inner = (tails >= 0) & (heads >= 0)
-    a, b = rank[tails[inner]], rank[heads[inner]]
-    assert np.all(np.abs(a - b) <= band.bandwidth)
-    assert np.all(np.abs(a // band.block - b // band.block) <= 1)
+    return tails[inner], heads[inner]
+
+
+def assert_band_layout(net):
+    """The order is a permutation, every consumer-consumer pipe lies within one block or two
+    adjacent ones, and the rows of each block joined to the block before come first."""
+    layout = net.head_band
+    n_c, s = net.n_consumers, layout.block
+    assert sorted(layout.order.tolist()) == list(range(n_c))
+    assert s >= max(layout.bandwidth, 1)
+    assert layout.n_blocks * s >= n_c > (layout.n_blocks - 1) * s
+    rank = np.empty(n_c, dtype=int)
+    rank[layout.order] = np.arange(n_c)
+    a, b = (rank[ends] for ends in inner_pipe_ends(net))
+    assert np.all(np.abs(a // s - b // s) <= 1)
     # The coupled rows are the nonzero rows of the dense blocks below the diagonal.
-    s = band.block
-    padded = np.zeros((band.n_blocks * s, band.n_blocks * s))
-    padded[:n_c, :n_c] = dense_head_matrix(net, np.ones(net.n_pipes))[np.ix_(band.order, band.order)]
-    assert len(band.coupled) == band.n_blocks - 1
-    for k, rows in enumerate(band.coupled):
+    padded = np.zeros((layout.n_blocks * s, layout.n_blocks * s))
+    dense = dense_head_matrix(net, np.ones(net.n_pipes))
+    padded[:n_c, :n_c] = dense[np.ix_(layout.order, layout.order)]
+    assert len(layout.n_coupled) == layout.n_blocks - 1
+    for k, m in enumerate(layout.n_coupled):
         below = padded[(k + 1) * s : (k + 2) * s, k * s : (k + 1) * s]
-        assert rows.tolist() == np.flatnonzero(np.any(below != 0.0, axis=1)).tolist()
+        assert np.flatnonzero(np.any(below != 0.0, axis=1)).tolist() == list(range(m))
 
 
 def assert_matches_dense(net, weights, rhs, rtol, solve=None):
     A = dense_head_matrix(net, weights)
-    banded = completion._solve_heads(net, weights, rhs) if solve is None else solve(rhs)
+    banded = band.solve_heads(net.head_band, weights, rhs) if solve is None else solve(rhs)
     dense = np.linalg.solve(A, rhs)
     assert np.max(np.abs(banded - dense)) <= rtol * np.max(np.abs(dense))
     # Backward error of the banded solve: as small as a dense factorization's.
@@ -633,10 +638,18 @@ class TestBandedHeadSolve:
     )
     def test_fixed_networks(self, build, bandwidth):
         net = build()
-        band = net.head_band
-        assert band.bandwidth == bandwidth
-        assert band.n_blocks >= 2
-        assert net.n_consumers % band.block != 0
+        neighbours = [[] for _ in range(net.n_consumers)]
+        for a, b in zip(*(ends.tolist() for ends in inner_pipe_ends(net))):
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        rank = np.empty(net.n_consumers, dtype=int)
+        rank[band._reverse_cuthill_mckee(neighbours)] = np.arange(net.n_consumers)
+        a, b = (rank[ends] for ends in inner_pipe_ends(net))
+        assert np.max(np.abs(a - b), initial=0) == bandwidth
+        layout = net.head_band
+        assert layout.bandwidth == bandwidth
+        assert layout.n_blocks >= 2
+        assert net.n_consumers % layout.block != 0
         assert_band_layout(net)
         rng = np.random.default_rng(net.n_consumers)
         weights = rng.uniform(0.5, 2.0, net.n_pipes)
@@ -662,10 +675,10 @@ class TestLinearHeadFactor:
         g = 1.0 / net.resistances
         rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, n_consumers)
         cached = net.linear_head_factor.solve(rhs)
-        assert np.array_equal(cached, completion.factor_heads(net, g).solve(rhs))
+        assert np.array_equal(cached, band.factor_heads(net.head_band, g).solve(rhs))
         rtol = 1e-9 + np.linalg.cond(dense_head_matrix(net, g)) * np.finfo(float).eps
         assert_matches_dense(net, g, rhs, rtol, solve=net.linear_head_factor.solve)
-        fused = completion._solve_heads(net, g, rhs)
+        fused = band.solve_heads(net.head_band, g, rhs)
         assert np.max(np.abs(cached - fused)) <= rtol * np.max(np.abs(fused))
 
     def test_fixed_networks(self):
@@ -676,13 +689,13 @@ class TestLinearHeadFactor:
                                  solve=net.linear_head_factor.solve)
 
     def test_built_once_and_only_for_the_linear_start(self, monkeypatch):
-        built, factor_heads = [], completion.factor_heads
+        built, factor_heads = [], band.factor_heads
 
-        def counted(net, weights):
-            built.append(net)
-            return factor_heads(net, weights)
+        def counted(layout, weights):
+            built.append(layout)
+            return factor_heads(layout, weights)
 
-        monkeypatch.setattr(completion, "factor_heads", counted)
+        monkeypatch.setattr(band, "factor_heads", counted)
         net = looped_grid(6, 7, seed=3)
         truth = random_ground_truth_state(net, seed=8)
         h_r = truth.reservoir_heads(net)
@@ -692,9 +705,9 @@ class TestLinearHeadFactor:
                 solve_reservoir_heads_demands(net, h_r, truth.demands)
         assert built == []
         first = solve_reservoir_heads_demands(net, h_r, truth.demands)
-        assert built == [net]
+        assert built == [net.head_band]
         second = solve_reservoir_heads_demands(net, h_r, truth.demands)
-        assert built == [net]
+        assert built == [net.head_band]
         assert np.array_equal(first.state.heads, second.state.heads)
 
 

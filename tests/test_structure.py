@@ -1,6 +1,7 @@
 """Tests for ranks, forest/chord decomposition, tree walk, cycle space and image membership."""
 
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -290,6 +291,34 @@ class TestForestScan:
         dependent = tuple(pid for pid in net.pipe_ids if pid not in independent)
         assert select_independent_edges(net) == EdgeDecomposition(independent, dependent)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_canonical_forest_shortcut(self, data):
+        # Once the grounded tree is built, candidates that hold its forest give that forest
+        # without a scan; before, and for a set lacking one forest pipe, they are scanned.
+        net = data.draw(shuffled_networks())
+
+        def scan(candidates):
+            positions = sorted(pipe_positions(net, set(candidates)))
+            return tuple(net.pipe_ids[j] for j in network.grounded_forest(net, positions))
+
+        forest = scan(net.pipe_ids)
+        chords = [pid for pid in net.pipe_ids if pid not in forest]
+        drawn = st.lists(st.sampled_from(chords), unique=True) if chords else st.just([])
+        surplus = data.draw(st.permutations(forest + tuple(data.draw(drawn))))
+        dropped = data.draw(st.sampled_from(forest))
+        lacking = [pid for pid in surplus if pid != dropped]
+
+        wrapped = mock.patch.object(structure, "grounded_forest", wraps=network.grounded_forest)
+        with wrapped as scans:
+            assert greedy_independent_columns(net, surplus) == forest
+            assert scans.call_count == 1 and "grounded_tree" not in vars(net)
+            assert net.grounded_tree.forest == forest
+            assert greedy_independent_columns(net, surplus) == forest
+            assert scans.call_count == 1
+            assert greedy_independent_columns(net, lacking) == scan(lacking)
+            assert scans.call_count == 2
+
     def test_reservoir_pipe_is_always_dependent(self):
         r = params_for_resistance(1.0)
         net = build_network(
@@ -313,7 +342,9 @@ class TestForestScan:
         assert greedy_independent_columns(triangle_net, ()) == ()
         assert flow_pattern_rank(triangle_net, []) == 0
 
-    @pytest.mark.parametrize("candidates", [("nope",), ("e1", "nope", "e2")])
+    @pytest.mark.parametrize(
+        "candidates", [("nope",), ("e1", "nope", "e2"), ("e1", "e2", "e3", "nope")]
+    )
     def test_unknown_pipe_id(self, triangle_net, candidates):
         with pytest.raises(UnknownNodeError, match="nope"):
             greedy_independent_columns(triangle_net, candidates)
