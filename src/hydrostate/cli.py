@@ -4,9 +4,11 @@ Subcommands: validate, analyze, solve, check, generate. Standard output is
 always a single JSON document (or empty on usage/file errors); diagnostics go
 to standard error. Exit codes: 0 success, 1 failed validation/check, 2
 inconsistent observations, 3 no convergence, 4 pattern not covered, 64 usage
-error, 65 file or parse error. ``solve`` also exits 65, like a non-finite
-value in the observation file, when a finite observed flow is so large that
-its head loss overflows.
+error, 65 file or parse error. An invalid network makes every subcommand
+that reads one emit the ``{"valid": false, ...}`` document of ``validate``
+and exit 1. ``solve`` also exits 65, like a non-finite value in the
+observation file, when a finite observed flow is so large that its head loss
+overflows.
 """
 
 from __future__ import annotations
@@ -143,28 +145,21 @@ def run_cli(argv: list[str]) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "check":
-            return _cmd_check(args)
         if args.command == "generate":
             return _cmd_generate(args)
-        raise AssertionError(args.command)
+        try:
+            net = _load_network(args.network)
+        except NetworkValidationError as exc:
+            # Every subcommand that reads a network reports an invalid one alike.
+            _emit({"valid": False, "error": type(exc).__name__, "message": str(exc)})
+            return EXIT_FAILED_CHECK
+        return _NETWORK_COMMANDS[args.command](args, net)
     except (OSError, FormatError) as exc:
         _diag(str(exc))
         return EXIT_FILE
 
 
-def _cmd_validate(args) -> int:
-    try:
-        net = _load_network(args.network)
-    except NetworkValidationError as exc:
-        _emit({"valid": False, "error": type(exc).__name__, "message": str(exc)})
-        return EXIT_FAILED_CHECK
+def _cmd_validate(args, net: Network) -> int:
     _emit(
         {
             "valid": True,
@@ -177,8 +172,7 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args) -> int:
-    net = _load_network(args.network)
+def _cmd_analyze(args, net: Network) -> int:
     try:
         pattern = ObservationSet.from_json_dict(_load_json(args.pattern))
         verdict = classify_observation_pattern(net, pattern)
@@ -189,8 +183,7 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_solve(args) -> int:
-    net = _load_network(args.network)
+def _cmd_solve(args, net: Network) -> int:
     obs = ObservationSet.from_json_dict(_load_json(args.obs))
     try:
         report = complete(net, obs, THEOREMS[args.theorem], args.tol, args.max_iter)
@@ -232,8 +225,7 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    net = _load_network(args.network)
+def _cmd_check(args, net: Network) -> int:
     state = state_from_json_dict(net, _load_json(args.state))
     report = residuals(net, state)
     correct = report.physically_correct(args.tol)
@@ -260,6 +252,10 @@ def _cmd_generate(args) -> int:
         return EXIT_USAGE
     _emit(network_to_json_dict(net))
     return EXIT_OK
+
+
+_NETWORK_COMMANDS = {"validate": _cmd_validate, "analyze": _cmd_analyze, "solve": _cmd_solve,
+                     "check": _cmd_check}
 
 
 def main() -> None:

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -228,15 +230,25 @@ def observed_head_loss(net: Network, pipes: np.ndarray, flows: np.ndarray) -> np
     return loss
 
 
+#: Prefix of the file names of this package's modules.
+_PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
+
+
 def _warn_negative_heads(consumer_heads: np.ndarray) -> None:
-    # Heads are physically nonnegative, but the equations are solvable over
-    # all reals; a negative computed head flags implausible inputs, it does
-    # not invalidate the solution.
+    """Warn at the first caller outside the package when a consumer head is negative.
+
+    Heads are physically nonnegative, but the equations are solvable over all
+    reals; a negative computed head flags implausible inputs, it does not
+    invalidate the solution.
+    """
     if np.any(consumer_heads < 0):
+        frame, level = sys._getframe(), 1
+        while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             "completion produced negative consumer heads; the solution is "
             "mathematically valid but physically implausible",
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -433,8 +445,8 @@ def solve_reservoir_heads_demands(
     below by ``ZERO_FLOW_EPSILON``; the residual itself always uses the exact
     nonlinearity, so the converged state is unbiased. Raises
     :class:`InvalidObservationError` on non-finite heads or demands and
-    :class:`NonConvergenceError` when the iteration budget runs out or no
-    damped step decreases the residual.
+    :class:`NonConvergenceError` when the start's residual is not finite, the
+    iteration budget runs out or no damped step decreases the residual.
     """
     opts = options if options is not None else SolverOptions()
     h_r = np.asarray(reservoir_heads, dtype=float)
@@ -457,6 +469,10 @@ def solve_reservoir_heads_demands(
     q, h_c = _initial_point(net, h_r, d)
     F = residual_vector(q, h_c)
     norm = float(np.max(np.abs(F)))
+    # An overflowing or NaN start has no finite residual for a step to
+    # decrease; the halving below keeps every later norm finite.
+    if not math.isfinite(norm):
+        raise NonConvergenceError(0, norm)
 
     iterations = 0
     while norm > opts.tolerance:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -86,9 +86,28 @@ def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
     numpy's vectorised power may differ from the scalar one in the last bit;
     the scalar one keeps :attr:`Network.resistances` equal to
     :func:`resistance`, and pipes mostly share a few diameters and roughnesses.
+    A power too large for a float is inf.
     """
     distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([v**exponent for v in distinct.tolist()])[inverse]
+    return np.array([_power(v, exponent) for v in distinct.tolist()])[inverse]
+
+
+def _power(value: float, exponent: float) -> float:
+    try:
+        return value**exponent
+    except OverflowError:
+        return math.inf
+
+
+def _resistances(lengths: np.ndarray, diameters: np.ndarray, roughnesses: np.ndarray) -> np.ndarray:
+    """:func:`resistance` of every pipe; inf or NaN where it overflows, 0 where it underflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            RESISTANCE_COEFFICIENT
+            * lengths
+            * _powers(diameters, RESISTANCE_DIAMETER_EXPONENT)
+            * _powers(roughnesses, -HAZEN_WILLIAMS_EXPONENT)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +117,9 @@ class Network:
     Node ``i`` is ``node_ids[i]`` with ``roles[i]``. Pipe ``j`` is
     ``pipe_ids[j]``, oriented from node ``tail_indices[j]`` to node
     ``head_indices[j]`` (its canonical orientation), with ``lengths[j]``,
-    ``diameters[j]`` and ``roughnesses[j]``. Node and pipe order is the
+    ``diameters[j]`` and ``roughnesses[j]``, and resistance coefficient
+    ``resistances[j]``, bit-identical to :func:`resistance` and finite and
+    positive. Node and pipe order is the
     insertion order of the building spec; every vector and matrix in this
     package indexes nodes and pipes in that order. The arrays are read-only.
     Instances are created through :func:`network_from_columns`, which
@@ -115,6 +136,7 @@ class Network:
     lengths: np.ndarray
     diameters: np.ndarray
     roughnesses: np.ndarray
+    resistances: np.ndarray = field(repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
@@ -172,20 +194,8 @@ class Network:
         return _positions_of(self.roles, NodeRole.RESERVOIR)
 
     @cached_property
-    def resistances(self) -> np.ndarray:
-        """Resistance coefficient per pipe, canonical order, bit-identical to :func:`resistance`."""
-        r = (
-            RESISTANCE_COEFFICIENT
-            * self.lengths
-            * _powers(self.diameters, RESISTANCE_DIAMETER_EXPONENT)
-            * _powers(self.roughnesses, -HAZEN_WILLIAMS_EXPONENT)
-        )
-        r.setflags(write=False)
-        return r
-
-    @cached_property
     def head_band(self) -> band.HeadBand:
-        """Block-tridiagonal layout of the consumer-head matrix ``Bc diag(w) Bc^T``."""
+        """Condensation and block layout of the consumer-head matrix ``Bc diag(w) Bc^T``."""
         return band.head_band(self)
 
     @cached_property
@@ -325,10 +335,13 @@ def network_from_columns(
     ``heads[j]``, with ``lengths[j]``, ``diameters[j]`` and ``roughnesses[j]``.
     Raises a distinct :class:`NetworkValidationError` subclass per defect:
     duplicate ids, unresolved endpoints, self-loops, nonpositive or
-    non-finite pipe parameters, missing reservoirs or consumers, and
-    disconnectedness. Each check is one test over a whole column; only when
-    one fails does a scalar pass look for the earliest defect in input order:
-    nodes before pipes, and each pipe's checks in the order listed above.
+    non-finite pipe parameters, missing reservoirs or consumers,
+    disconnectedness, and a resistance coefficient that overflows or
+    underflows (:class:`NonpositiveParameterError`, computed here once and
+    kept as :attr:`Network.resistances`). Each check is one test over a whole
+    column; only when one fails does a scalar pass look for the earliest
+    defect in input order: nodes before pipes, and each pipe's checks in the
+    order listed above. The resistance check names the first pipe.
     """
     node_ids, roles, pipe_ids = tuple(node_ids), tuple(roles), tuple(pipe_ids)
     fields = (lengths, diameters, roughnesses)
@@ -356,6 +369,15 @@ def network_from_columns(
     _check_connected(len(node_ids), *ends)
     arrays = [np.array(e, dtype=np.intp) for e in ends]
     arrays += [p.astype(float, copy=False) for p in params]
+    r = _resistances(*arrays[2:])
+    bad = np.flatnonzero(~(np.isfinite(r) & (r > 0)))
+    if bad.size:
+        j = bad[0]
+        raise NonpositiveParameterError(
+            f"pipe {pipe_ids[j]!r}: resistance must be finite and > 0, got {float(r[j])!r}"
+            " from its length, diameter and roughness"
+        )
+    arrays.append(r)
     for arr in arrays:
         arr.setflags(write=False)
     return Network(node_ids, tuple(role_column), pipe_ids, *arrays)

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hydrostate
 from hydrostate import (
     ObservationSet,
+    completion,
     network_to_json_dict,
     observability,
     solve_reservoir_heads_demands,
@@ -108,6 +110,37 @@ class TestValidate:
         assert code == 1
         assert payload["valid"] is False
         assert payload["error"] == "DisconnectedNetworkError"
+
+
+DISCONNECTED = {
+    "nodes": [{"id": "R", "role": "reservoir"}, {"id": "J", "role": "consumer"}],
+    "pipes": [],
+}
+#: A pipe whose resistance underflows to 0.
+ZERO_RESISTANCE = {
+    "nodes": [{"id": "R", "role": "reservoir"}, {"id": "J", "role": "consumer"}],
+    "pipes": [{"id": "P", "from": "R", "to": "J", "length_m": 1.0, "diameter_m": 1e70,
+               "roughness": 100.0}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, error",
+    [(DISCONNECTED, "DisconnectedNetworkError"), (ZERO_RESISTANCE, "NonpositiveParameterError")],
+    ids=["disconnected", "zero_resistance"],
+)
+@pytest.mark.parametrize("command", ["validate", "analyze", "solve", "check"])
+def test_invalid_network_is_one_error_document(capsys, tmp_path, command, doc, error):
+    net = write_json(tmp_path / "net.json", doc)
+    obs = write_json(tmp_path / "obs.json", {"heads": {"R": 1.0}, "demands": {"J": 0.1}})
+    options = {"validate": [], "analyze": ["--pattern", obs], "solve": ["--obs", obs],
+               "check": ["--state", obs]}
+    code = run_cli([command, net, *options[command]])
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert code == 1
+    assert payload == {"valid": False, "error": error, "message": payload["message"]}
+    assert captured.err == ""
 
 
 class TestGenerate:
@@ -331,6 +364,20 @@ class TestSolve:
         obs = write_json(tmp_path / "obs.json", {"heads": {"R1": 100.0}, "demands": demands})
         with pytest.warns(RuntimeWarning, match="overflow"):
             code, payload = invoke(capsys, ["solve", net_path, "--obs", obs])
+        assert code == 3
+        assert payload["error"] == "no_convergence"
+        assert payload["iterations"] == 0
+        assert payload["residual"] is None
+
+    def test_nan_start_exit_3(self, capsys, monkeypatch, tmp_path, triangle_file):
+        def start(net, reservoir_heads, demands):
+            return np.full(net.n_pipes, np.nan), np.full(net.n_consumers, np.nan)
+
+        monkeypatch.setattr(completion, "_initial_point", start)
+        obs = write_json(
+            tmp_path / "obs.json", {"heads": {"R": 100.0}, "demands": {"c1": 0.5, "c2": 0.5}}
+        )
+        code, payload = invoke(capsys, ["solve", triangle_file, "--obs", obs])
         assert code == 3
         assert payload["error"] == "no_convergence"
         assert payload["iterations"] == 0

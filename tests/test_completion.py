@@ -1,5 +1,6 @@
 """Tests for the four state-completion solvers and their round-trip closure."""
 
+import itertools
 import re
 import tracemalloc
 import warnings
@@ -293,6 +294,36 @@ def test_negative_computed_heads_warn_but_solve(single_pipe_net):
     assert report.state.consumer_heads(single_pipe_net)[0] < 0
 
 
+@pytest.mark.parametrize("nan_heads", [False, True])
+def test_nan_start_does_not_converge(monkeypatch, triangle_net, nan_heads):
+    def start(net, reservoir_heads, demands):
+        q = np.full(net.n_pipes, np.nan)
+        return q, np.full(net.n_consumers, np.nan if nan_heads else 100.0)
+
+    monkeypatch.setattr(completion, "_initial_point", start)
+    with pytest.raises(NonConvergenceError) as exc_info:
+        solve_reservoir_heads_demands(triangle_net, np.array([100.0]), np.array([0.5, 0.5]))
+    assert exc_info.value.iterations == 0
+    assert np.isnan(exc_info.value.residual)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda net: solve_reservoir_heads_demands(net, np.array([10.0]), np.array([3.0])),
+        lambda net: complete_from_reservoir_heads_and_flows(net, np.array([1.0]), np.array([1.0])),
+        lambda net: complete_from_forest_flows(net, np.array([1.0]), {"P1": 1.0}),
+        lambda net: complete(net, ObservationSet(heads={"R": 1.0}, flows={"P1": 1.0})),
+        lambda net: complete(net, ObservationSet(heads={"R": 10.0}, demands={"J1": 3.0})),
+    ],
+    ids=["demand_driven", "heads_flows", "forest_flows", "complete_forest", "complete_demands"],
+)
+def test_negative_heads_warning_points_at_the_caller(single_pipe_net, route):
+    with pytest.warns(UserWarning, match="negative consumer heads") as record:
+        route(single_pipe_net)
+    assert [w.filename for w in record] == [__file__]
+
+
 class TestOverflowingFlows:
     """A finite flow whose head loss overflows is rejected, never completed to NaN heads."""
 
@@ -555,31 +586,72 @@ def chain_network(lengths, seed=0):
     return build_network(nodes, pipes)
 
 
-def inner_pipe_ends(net):
-    """Consumer positions of the two ends of every consumer-consumer pipe."""
-    position = np.full(net.n_nodes, -1)
-    position[net.consumer_indices] = np.arange(net.n_consumers)
-    tails, heads = position[net.tail_indices], position[net.head_indices]
-    inner = (tails >= 0) & (heads >= 0)
-    return tails[inner], heads[inner]
+def consumer_pipe_ends(net):
+    """Far end of every pipe at each consumer: a consumer position, or None for a reservoir."""
+    position = dict(zip(net.consumer_indices.tolist(), range(net.n_consumers)))
+    ends = [[] for _ in range(net.n_consumers)]
+    for t, h in zip(net.tail_indices.tolist(), net.head_indices.tolist()):
+        for near, far in ((t, h), (h, t)):
+            if near in position:
+                ends[position[near]].append(position.get(far))
+    return ends
+
+
+def greedy_independent_set(net):
+    """Reference scan: consumers by (pipe count, position); one with at most 3 pipes is taken
+    unless a pipe joins it to a consumer taken before."""
+    ends = consumer_pipe_ends(net)
+    taken = set()
+    for v in sorted(range(net.n_consumers), key=lambda v: (len(ends[v]), v)):
+        if len(ends[v]) <= band.MAX_ELIMINATED_PIPES and taken.isdisjoint(ends[v]):
+            taken.add(v)
+    return sorted(taken)
+
+
+def condensed_matrix(net, weights):
+    """Oracle Schur complement of the eliminated consumers, over the kept ones in band order."""
+    A = dense_head_matrix(net, weights)
+    eliminated, kept = net.head_band.eliminated, net.head_band.order
+    lower = A[np.ix_(kept, eliminated)]
+    inner = A[np.ix_(eliminated, eliminated)]
+    return A[np.ix_(kept, kept)] - lower @ np.linalg.solve(inner, lower.T)
+
+
+def assert_condensation(net):
+    """The eliminated consumers are the reference scan's: independent, at most 3 pipes each and
+    maximal; the kept ones are the rest; and a second build picks the same set."""
+    layout, ends = net.head_band, consumer_pipe_ends(net)
+    eliminated = layout.eliminated.tolist()
+    assert eliminated == greedy_independent_set(net)
+    assert sorted(eliminated + layout.order.tolist()) == list(range(net.n_consumers))
+    taken = set(eliminated)
+    for v, far in enumerate(ends):
+        if v in taken:
+            assert len(far) <= band.MAX_ELIMINATED_PIPES and taken.isdisjoint(far)
+        elif len(far) <= band.MAX_ELIMINATED_PIPES:
+            assert not taken.isdisjoint(far), "a consumer that could be taken was left"
+    assert np.array_equal(band.head_band(net).eliminated, layout.eliminated)
+    # One fill link per pair of an eliminated consumer's pipes with two far ends.
+    pairs = [(a, b) for v in eliminated for a, b in itertools.combinations(ends[v], 2)]
+    far = layout.star_far[layout.fill_ends]
+    assert far.shape[1] == sum(a != b for a, b in pairs)
+    assert np.all(far[0] != far[1])
 
 
 def assert_band_layout(net):
-    """The order is a permutation, every consumer-consumer pipe lies within one block or two
-    adjacent ones, and the rows of each block joined to the block before come first."""
+    """The kept consumers lie in blocks such that every link of the condensed matrix lies within
+    one block or two adjacent ones, and the rows of each block joined to the block before come
+    first."""
     layout = net.head_band
-    n_c, s = net.n_consumers, layout.block
-    assert sorted(layout.order.tolist()) == list(range(n_c))
+    n, s = len(layout.order), layout.block
     assert s >= max(layout.bandwidth, 1)
-    assert layout.n_blocks * s >= n_c > (layout.n_blocks - 1) * s
-    rank = np.empty(n_c, dtype=int)
-    rank[layout.order] = np.arange(n_c)
-    a, b = (rank[ends] for ends in inner_pipe_ends(net))
+    assert layout.n_blocks * s >= n > (layout.n_blocks - 1) * s or n == 0 == layout.n_blocks - 1
+    condensed = condensed_matrix(net, np.ones(net.n_pipes))
+    a, b = np.nonzero(condensed)
     assert np.all(np.abs(a // s - b // s) <= 1)
     # The coupled rows are the nonzero rows of the dense blocks below the diagonal.
     padded = np.zeros((layout.n_blocks * s, layout.n_blocks * s))
-    dense = dense_head_matrix(net, np.ones(net.n_pipes))
-    padded[:n_c, :n_c] = dense[np.ix_(layout.order, layout.order)]
+    padded[:n, :n] = condensed
     assert len(layout.n_coupled) == layout.n_blocks - 1
     for k, m in enumerate(layout.n_coupled):
         below = padded[(k + 1) * s : (k + 2) * s, k * s : (k + 1) * s]
@@ -594,6 +666,19 @@ def assert_matches_dense(net, weights, rhs, rtol, solve=None):
     # Backward error of the banded solve: as small as a dense factorization's.
     scale = np.max(np.sum(np.abs(A), axis=1)) * np.max(np.abs(banded)) + np.max(np.abs(rhs))
     assert np.max(np.abs(A @ banded - rhs)) <= 1e-12 * scale
+
+
+def grounded_and_parallel_net():
+    """A path of consumers c0..c9 with every other link doubled, and a consumer g whose three
+    pipes all end at reservoirs: every eliminated consumer meets a parallel pair or the ground."""
+    nodes = [("R1", "reservoir"), ("R2", "reservoir"), ("g", "consumer")]
+    nodes += [(f"c{k}", "consumer") for k in range(10)]
+    edges = [("R1", "g"), ("g", "R2"), ("R1", "g"), ("R1", "c0"), ("c9", "R2")]
+    for k in range(9):
+        edges += [(f"c{k}", f"c{k + 1}")] * (2 if k % 2 else 1)
+    rs = np.random.default_rng(7).uniform(0.5, 5.0, len(edges))
+    return build_network(nodes, [(f"P{j}", a, b, params_for_resistance(float(r)))
+                                 for j, ((a, b), r) in enumerate(zip(edges, rs))])
 
 
 class TestBandedHeadSolve:
@@ -611,6 +696,7 @@ class TestBandedHeadSolve:
         net = random_connected_wds(
             GeneratorConfig(seed, n_reservoirs, n_consumers, min(extra_edges, capacity))
         )
+        assert_condensation(net)
         assert_band_layout(net)
         rng = np.random.default_rng(seed)
         weights = 10.0 ** rng.uniform(-6.0, 6.0, net.n_pipes)
@@ -621,40 +707,74 @@ class TestBandedHeadSolve:
         # Weights over 12 decades make A ill-conditioned: any two backward
         # stable solves then differ by up to cond(A) * eps, the dense one
         # against itself under a permutation too.
-        cond = np.linalg.cond(dense_head_matrix(net, weights))
-        assert_matches_dense(net, weights, rhs, 1e-9 + cond * np.finfo(float).eps)
+        rtol = 1e-9 + np.linalg.cond(dense_head_matrix(net, weights)) * np.finfo(float).eps
+        assert_matches_dense(net, weights, rhs, rtol)
+        factor = band.factor_heads(net.head_band, weights)
+        assert_matches_dense(net, weights, rhs, rtol, solve=factor.solve)
 
     @pytest.mark.parametrize(
-        "build, bandwidth",
+        "build, n_eliminated, bandwidth, n_blocks",
         [
-            (lambda: chain_network([1] * 70), 0),
-            (lambda: chain_network([100]), 1),
-            (lambda: chain_network([40, 1, 57, 3]), 1),
-            (lambda: looped_grid(3, 30, double=True), 4),
-            (lambda: looped_grid(30, 40), 31),
-            (lambda: looped_grid(45, 50), 46),
+            (lambda: chain_network([1] * 70), 70, 0, 1),
+            (lambda: chain_network([100]), 50, 1, 2),
+            (lambda: chain_network([40, 1, 57, 3]), 52, 1, 2),
+            (grounded_and_parallel_net, 6, 1, 1),
+            (lambda: looped_grid(3, 30, double=True), 0, 4, 3),
+            (lambda: looped_grid(30, 40), 67, 44, 26),
+            (lambda: looped_grid(45, 50), 92, 65, 34),
         ],
-        ids=["star", "path", "components", "parallel_pipes", "grid", "wide_grid"],
+        ids=["star", "path", "components", "grounded_and_parallel", "parallel_pipes", "grid",
+             "wide_grid"],
     )
-    def test_fixed_networks(self, build, bandwidth):
+    def test_fixed_networks(self, build, n_eliminated, bandwidth, n_blocks):
         net = build()
-        neighbours = [[] for _ in range(net.n_consumers)]
-        for a, b in zip(*(ends.tolist() for ends in inner_pipe_ends(net))):
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-        rank = np.empty(net.n_consumers, dtype=int)
-        rank[band._reverse_cuthill_mckee(neighbours)] = np.arange(net.n_consumers)
-        a, b = (rank[ends] for ends in inner_pipe_ends(net))
-        assert np.max(np.abs(a - b), initial=0) == bandwidth
         layout = net.head_band
+        assert len(layout.eliminated) == n_eliminated
+        assert_condensation(net)
+        # The layout's bandwidth is that of reverse Cuthill-McKee on the condensed graph, with
+        # the kept consumers numbered in canonical order.
+        label = np.searchsorted(np.sort(layout.order), layout.order)
+        a, b = (label[i] for i in np.nonzero(condensed_matrix(net, np.ones(net.n_pipes))))
+        neighbours = [[] for _ in layout.order]
+        for i, j in zip(a.tolist(), b.tolist()):
+            if i != j:
+                neighbours[i].append(j)
+        rank = np.empty(len(layout.order), dtype=int)
+        rank[band._reverse_cuthill_mckee(neighbours)] = np.arange(len(layout.order))
+        assert np.max(np.abs(rank[a] - rank[b]), initial=0) == bandwidth
         assert layout.bandwidth == bandwidth
-        assert layout.n_blocks >= 2
-        assert net.n_consumers % layout.block != 0
+        assert layout.n_blocks == n_blocks
         assert_band_layout(net)
         rng = np.random.default_rng(net.n_consumers)
         weights = rng.uniform(0.5, 2.0, net.n_pipes)
         rhs = rng.uniform(-1.0, 1.0, net.n_consumers)
         assert_matches_dense(net, weights, rhs, 1e-9)
+        factor = band.factor_heads(layout, weights)
+        assert_matches_dense(net, weights, rhs, 1e-9, solve=factor.solve)
+
+    def test_star_keeps_no_consumer(self):
+        net = chain_network([1] * 70)
+        assert len(net.head_band.order) == 0
+        # Each consumer sits between two reservoirs: its head is the conductance-weighted mean.
+        weights = np.arange(1.0, net.n_pipes + 1.0)
+        rhs = np.linspace(-1.0, 1.0, net.n_consumers)
+        heads = band.solve_heads(net.head_band, weights, rhs)
+        assert heads == pytest.approx(rhs / (weights[0::2] + weights[1::2]), rel=1e-15)
+
+    def test_path_eliminates_every_other_consumer(self):
+        net = chain_network([100])
+        assert net.head_band.eliminated.tolist() == list(range(0, 100, 2))
+
+    @pytest.mark.parametrize("factor", [False, True])
+    def test_consumer_without_conductance_is_singular(self, factor, path3_net):
+        # J1 and J3 are eliminated; the pipes P2 and P3 at J3 have underflowed to 0.
+        assert path3_net.head_band.eliminated.tolist() == [0, 2]
+        weights = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            if factor:
+                band.factor_heads(path3_net.head_band, weights)
+            else:
+                band.solve_heads(path3_net.head_band, weights, np.ones(3))
 
 
 class TestLinearHeadFactor:

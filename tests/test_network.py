@@ -79,6 +79,15 @@ class TestBuildNetwork:
                 [("p", "R", "c1", bad)],
             )
 
+    @pytest.mark.parametrize("diameter, shown", [(1e-70, "inf"), (1e70, "0.0")])
+    def test_resistance_out_of_range_names_the_first_pipe(self, diameter, shown):
+        bad = PipeParams(1.0, diameter, 100.0)
+        with pytest.raises(NonpositiveParameterError, match=f"pipe 'q': resistance .* {shown} "):
+            build_network(
+                [("R", "reservoir"), ("c1", "consumer"), ("c2", "consumer")],
+                [("p", "R", "c1", UNIT), ("q", "c1", "c2", bad), ("s", "R", "c2", bad)],
+            )
+
     def test_self_loop(self):
         with pytest.raises(SelfLoopError):
             build_network(
@@ -264,6 +273,16 @@ def oracle_build_network(nodes, pipes) -> tuple[tuple[Node, ...], tuple[Pipe, ..
         raise DisconnectedNetworkError(
             f"network is not connected ({len(node_objs) - joins} components)"
         )
+    for p in pipe_objs:
+        try:
+            r = resistance(p.params)
+        except OverflowError:
+            r = math.inf
+        if not (math.isfinite(r) and r > 0):
+            raise NonpositiveParameterError(
+                f"pipe {p.id!r}: resistance must be finite and > 0, got {r!r}"
+                " from its length, diameter and roughness"
+            )
     return tuple(node_objs), tuple(pipe_objs)
 
 
@@ -290,11 +309,15 @@ DEFECTS = (
     "unknown_endpoint",
     "self_loop",
     "bad_parameter",
+    "extreme_diameter",
     "no_reservoir",
     "no_consumer",
     "disconnected",
 )
 BAD_VALUES = (0.0, -1.0, math.inf, -math.inf, math.nan, 0, -2)
+#: Finite positive diameters whose resistance overflows (a scalar ``OverflowError``) or
+#: underflows to 0.
+EXTREME_DIAMETERS = (1e-70, 1e70)
 #: Shared diameters and roughnesses, as in real networks, and arbitrary ones.
 PARAMETERS = st.one_of(
     st.sampled_from([0.3, 0.5, 100.0, 130.0, 1]),
@@ -337,6 +360,8 @@ def network_specs(draw):
             pipes[k][2] = pipes[k][1]
         elif defect == "bad_parameter":
             pipes[k][3][draw(st.integers(0, 2))] = draw(st.sampled_from(BAD_VALUES))
+        elif defect == "extreme_diameter":
+            pipes[k][3][1] = draw(st.sampled_from(EXTREME_DIAMETERS))
         elif defect == "no_reservoir":
             nodes = [[nid, "consumer"] for nid, _ in nodes]
         elif defect == "no_consumer":
@@ -393,6 +418,9 @@ class TestColumnBuildMatchesOracle:
     @example((TWO_NODES, [("p", "R", "J", OK), ("q", "nowhere", "nowhere", OK)]))
     @example((TWO_NODES, [("p", "R", "J", OK), ("q", "J", "J", PipeParams(1.0, 0.0, -1.0))]))
     @example((TWO_NODES, [("p", "R", "J", OK), ("q", "J", "R", PipeParams(-1.0, 0.0, math.nan))]))
+    @example((TWO_NODES, [("p", "R", "J", PipeParams(1.0, 1e70, 1.0)),
+                          ("q", "J", "R", PipeParams(1.0, 1e-70, 1.0))]))
+    @example((TWO_NODES, [("p", "R", "J", OK), ("q", "J", "R", PipeParams(1e300, 1e-60, 1e-3))]))
     def test_build_network(self, spec):
         nodes, pipes = spec
         expected = outcome(oracle_build_network, nodes, pipes)
