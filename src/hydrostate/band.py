@@ -155,7 +155,7 @@ def _neighbours(n: int, tails: np.ndarray, heads: np.ndarray) -> list[set[int]]:
     return neighbours
 
 
-def _consumer_ends(net: Network) -> tuple[np.ndarray, np.ndarray]:
+def consumer_ends(net: Network) -> tuple[np.ndarray, np.ndarray]:
     """Consumer positions of the two ends of every pipe, ``n_consumers`` for a reservoir."""
     position = np.full(net.n_nodes, net.n_consumers)
     position[net.consumer_indices] = np.arange(net.n_consumers)
@@ -187,7 +187,7 @@ def _independent_set(n_c: int, tails: np.ndarray, heads: np.ndarray) -> np.ndarr
 def head_band(net: Network) -> HeadBand:
     """The condensation and block layout of ``Bc diag(w) Bc^T`` for the pipes of ``net``."""
     n_c = net.n_consumers
-    tails, heads = _consumer_ends(net)
+    tails, heads = consumer_ends(net)
     eliminated = _independent_set(n_c, tails, heads)
     row = np.full(n_c + 1, -1)
     row[eliminated] = np.arange(len(eliminated))

@@ -67,9 +67,21 @@ def _diag(message: str) -> None:
 def _load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # bad JSON or UTF-8, or an integer past the digit limit
             raise FormatError(str(exc)) from None
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a repeated key raises :class:`FormatError`, naming it."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return doc
 
 
 def _load_network(path: str) -> Network:

@@ -25,8 +25,6 @@ from .network import (
 
 #: Residual tolerance for accepting an iteratively solved state.
 SOLVER_TOLERANCE = 1e-8
-#: Residual tolerance for states constructed in closed form.
-CONSTRUCTION_TOLERANCE = 1e-12
 
 
 def head_loss(flow, resistance):
@@ -98,8 +96,9 @@ def json_number(value) -> float:
 def state_from_json_dict(net: Network, doc: Mapping) -> HydraulicState:
     """Parse a full state document; every node, pipe and consumer must be covered.
 
-    Raises :class:`FormatError` on a missing entry and on a value that is not
-    a finite JSON number.
+    Raises :class:`FormatError` on a missing entry, on an id that the section
+    does not index (naming the first) and on a value that is not a finite
+    JSON number.
     """
     if not isinstance(doc, Mapping):
         raise FormatError("state document must be a JSON object")
@@ -109,6 +108,10 @@ def state_from_json_dict(net: Network, doc: Mapping) -> HydraulicState:
     ):
         try:
             raw = [doc[section][i] for i in ids]
+            if len(doc[section]) > len(ids):
+                known = set(ids)
+                unknown = next(i for i in doc[section] if i not in known)
+                raise FormatError(f"unknown id {unknown!r} in state section {section!r}")
         except (KeyError, TypeError) as exc:
             raise FormatError(f"incomplete or malformed state document: {exc}") from None
         values = np.array([json_number(v) for v in raw])

@@ -71,12 +71,17 @@ class PipeParams:
 
 
 def resistance(params: PipeParams) -> float:
-    """Hazen-Williams resistance coefficient of a pipe (strictly positive)."""
+    """Hazen-Williams resistance coefficient of a pipe.
+
+    Positive for ordinary parameters; inf or NaN where a power overflows and
+    0.0 where it underflows, bit for bit as :attr:`Network.resistances`
+    computes it. :func:`network_from_columns` rejects all three.
+    """
     return (
         RESISTANCE_COEFFICIENT
         * params.length
-        * params.diameter**RESISTANCE_DIAMETER_EXPONENT
-        * params.roughness**-HAZEN_WILLIAMS_EXPONENT
+        * _power(params.diameter, RESISTANCE_DIAMETER_EXPONENT)
+        * _power(params.roughness, -HAZEN_WILLIAMS_EXPONENT)
     )
 
 

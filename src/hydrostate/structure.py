@@ -6,11 +6,12 @@ consumer rows always have full rank and admit an invertible square column
 selection. The consumer rows are the reduced incidence matrix of the graph
 with every reservoir merged into one ground node, so a set of pipe columns is
 independent exactly when those pipes form a forest in that grounded graph.
-Forest selection and flow-pattern ranks are therefore one union-find pass
-over the pipes. Exact integer elimination remains for :func:`submatrix_rank`,
-for determinants and as the test oracle: incidence matrices are totally
-unimodular, so fraction-free elimination keeps every intermediate entry in
-{-1, 0, +1} and needs no floating tolerance.
+Forest selection is therefore one union-find pass over the pipes. Every
+runtime structure here reads the pipe end indices; the dense incidence matrix
+serves only :func:`submatrix_rank` and the tests. Exact integer elimination
+remains for it, for determinants and as the test oracle: incidence matrices
+are totally unimodular, so fraction-free elimination keeps every intermediate
+entry in {-1, 0, +1} and needs no floating tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptySubsetError, UnknownNodeError
-from .network import IncidenceMatrix, Network, grounded_forest, incidence_matrix, orient_forest
+from .band import consumer_ends
+from .network import IncidenceMatrix, Network, grounded_forest, orient_forest
 
 #: Default relative tolerance of the image-membership test.
 DEFAULT_IMAGE_TOL = 1e-9
@@ -142,15 +144,6 @@ def greedy_independent_columns(net: Network, candidates: Iterable[str]) -> tuple
     return tuple(ids[j] for j in grounded_forest(net, positions))
 
 
-def flow_pattern_rank(net: Network, pipe_ids: Sequence[str]) -> int:
-    """Rank of the consumer-row incidence columns indexed by ``pipe_ids``.
-
-    That is the size of a spanning forest of those pipes in the graph with
-    its reservoirs grounded, found by one union-find pass.
-    """
-    return len(grounded_forest(net, pipe_positions(net, pipe_ids)))
-
-
 def select_independent_edges(net: Network) -> EdgeDecomposition:
     """Deterministic forest/chord decomposition of all pipes.
 
@@ -181,35 +174,30 @@ class CycleBasis:
 
 
 def cycle_space_basis(net: Network, decomposition: EdgeDecomposition | None = None) -> CycleBasis:
-    """Fundamental-cycle basis of the kernel of the consumer-row incidence map."""
+    """Fundamental-cycle basis of the kernel of the consumer-row incidence map.
+
+    The consumer-row columns of the forest and chord pipes are built from the
+    pipe ends, and ``Bc V = 0`` is checked once for the whole basis ``V``.
+    """
     dec = decomposition if decomposition is not None else select_independent_edges(net)
-    B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids)
-    n_c = net.n_consumers
-    forest_cols = B_vc.restrict(pipes=dec.independent).entries
-    chord_cols = (
-        B_vc.restrict(pipes=dec.dependent).entries
-        if dec.dependent
-        else np.zeros((n_c, 0), dtype=np.int64)
-    )
+    forest, chords = pipe_positions(net, dec.independent), pipe_positions(net, dec.dependent)
+    positions = forest + chords
+    tails, heads = consumer_ends(net)
+    columns = np.zeros((net.n_consumers + 1, len(positions)), dtype=np.int64)
+    k = np.arange(len(positions))
+    columns[tails[positions], k] = 1
+    columns[heads[positions], k] = -1
+    columns = columns[:-1]  # drop the row that collects the reservoir ends
 
-    # Solve forest_cols @ w = -chord_col exactly; the forest matrix is
-    # unimodular, so the solutions come out integer.
-    coeffs = _solve_rational(forest_cols, -chord_cols)
-
-    pipe_pos = {pid: k for k, pid in enumerate(net.pipe_ids)}
-    vectors = []
-    for j, chord in enumerate(dec.dependent):
-        v = np.zeros(net.n_pipes, dtype=np.int64)
-        for i, pid in enumerate(dec.independent):
-            value = coeffs[i][j]
-            assert value.denominator == 1
-            v[pipe_pos[pid]] = int(value)
-        v[pipe_pos[chord]] = 1
-        assert not np.any(
-            incidence_matrix(net).restrict(nodes=net.consumer_ids).entries @ v
-        )
-        v.setflags(write=False)
-        vectors.append(v)
+    # Solve forest_cols @ w = -chord_cols exactly; the forest matrix is
+    # unimodular, so the solutions come out integer, and the kernel check
+    # below would fail if one did not.
+    coeffs = _solve_rational(columns[:, : len(forest)], -columns[:, len(forest) :])
+    vectors = np.zeros((len(chords), net.n_pipes), dtype=np.int64)
+    vectors[:, forest] = np.array([[int(v) for v in row] for row in coeffs], dtype=np.int64).T
+    vectors[np.arange(len(chords)), chords] = 1
+    assert not np.any(columns @ vectors[:, positions].T), "every vector lies in the kernel of Bc"
+    vectors.setflags(write=False)
     return CycleBasis(tuple(vectors), dec)
 
 
@@ -274,15 +262,13 @@ class ImageMembership:
     residual: float
 
 
-def image_membership(
-    net: Network, target: np.ndarray, tol: float = DEFAULT_IMAGE_TOL
-) -> ImageMembership:
+def image_membership(net: Network, target: np.ndarray) -> ImageMembership:
     """Tree-walk test of ``target in range(B_consumers^T)``.
 
     The target on the canonical forest fixes the consumer heads, and every
-    other pipe must agree with them. Membership is decided on the
-    relative infinity-norm residual against ``tol``; a member result carries
-    the consumer heads that realize the target.
+    other pipe must agree with them. Membership is decided on the relative
+    infinity-norm residual against :data:`DEFAULT_IMAGE_TOL`; a member result
+    carries the consumer heads that realize the target.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (net.n_pipes,):
@@ -290,6 +276,6 @@ def image_membership(
     h = walk_heads(tree_walk(net), np.zeros(net.n_nodes), target)
     residual = float(np.max(np.abs(h[net.tail_indices] - h[net.head_indices] - target)))
     scale = max(1.0, float(np.max(np.abs(target), initial=0.0)))
-    if residual / scale <= tol:
+    if residual / scale <= DEFAULT_IMAGE_TOL:
         return ImageMembership(True, h[net.consumer_indices], residual)
     return ImageMembership(False, None, residual)

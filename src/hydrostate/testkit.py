@@ -9,10 +9,8 @@ precision and serve as the oracle for every round-trip test.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +23,12 @@ from .network import Network, PipeParams, network_from_columns, resistance
 MAX_PARALLEL_PIPES = 2
 #: Diameter (m) and Hazen-Williams roughness of generated pipes.
 DIAMETER, ROUGHNESS = 0.3, 100.0
+#: Resistance of a generated pipe of length 1 m.
+_UNIT_RESISTANCE = resistance(PipeParams(length=1.0, diameter=DIAMETER, roughness=ROUGHNESS))
+#: Interval of the resistances of generated pipes.
+RESISTANCE_RANGE = (0.5, 5.0)
+#: Interval of the heads of generated ground-truth states.
+HEAD_RANGE = (50.0, 150.0)
 
 
 @dataclass(frozen=True)
@@ -33,22 +37,13 @@ class GeneratorConfig:
     n_reservoirs: int = 1
     n_consumers: int = 3
     extra_edges: int = 0
-    resistance_range: tuple[float, float] = (0.5, 5.0)
 
 
-def params_for_resistance(
-    target: float, diameter: float = DIAMETER, roughness: float = ROUGHNESS
-) -> PipeParams:
-    """Pipe parameters realizing a given resistance (resistance is linear in length)."""
+def params_for_resistance(target: float) -> PipeParams:
+    """Generated-pipe parameters realizing a given resistance (resistance is linear in length)."""
     if not target > 0:
         raise ValueError("target resistance must be positive")
-    length = target / _unit_resistance(diameter, roughness)
-    return PipeParams(length=length, diameter=diameter, roughness=roughness)
-
-
-@lru_cache(maxsize=32)
-def _unit_resistance(diameter: float, roughness: float) -> float:
-    return resistance(PipeParams(length=1.0, diameter=diameter, roughness=roughness))
+    return PipeParams(length=target / _UNIT_RESISTANCE, diameter=DIAMETER, roughness=ROUGHNESS)
 
 
 def _capacity(n: int) -> int:
@@ -69,12 +64,6 @@ def _validate(cfg: GeneratorConfig) -> None:
         raise InfeasibleConfigError("need at least one reservoir and one consumer")
     if cfg.extra_edges < 0:
         raise InfeasibleConfigError("extra_edges must be nonnegative")
-    value = cfg.resistance_range
-    if not all(math.isfinite(v) for v in value):
-        raise InfeasibleConfigError(f"resistance_range must be finite, got {value!r}")
-    r_lo, r_hi = value
-    if not (0 < r_lo <= r_hi):
-        raise InfeasibleConfigError("resistance_range must be positive and nonempty")
     n = cfg.n_reservoirs + cfg.n_consumers
     capacity = _capacity(n)
     if cfg.extra_edges > capacity:
@@ -117,7 +106,7 @@ def random_connected_wds(cfg: GeneratorConfig) -> Network:
 
     Exactly ``n_reservoirs + n_consumers`` nodes and
     ``(n_nodes - 1) + extra_edges`` pipes; pipe resistances land inside
-    ``resistance_range``. Time and memory are O(n + k log n) for ``k`` extra
+    :data:`RESISTANCE_RANGE`. Time and memory are O(n + k log n) for ``k`` extra
     edges, except that numpy's ``choice`` shuffles all (n - 1)**2 slot
     indices when ``k`` exceeds a fiftieth of more than 10**4 of them.
     """
@@ -145,11 +134,10 @@ def random_connected_wds(cfg: GeneratorConfig) -> Network:
             (a, b) if k else (b, a) for a, b, k in zip(lo.tolist(), hi.tolist(), keep.tolist())
         ]
 
-    r_lo, r_hi = cfg.resistance_range
     m = len(edges)
     # Resistance is linear in length, and division is correctly rounded, so
     # each length equals the scalar ``params_for_resistance(target).length``.
-    lengths = rng.uniform(r_lo, r_hi, m) / _unit_resistance(DIAMETER, ROUGHNESS)
+    lengths = rng.uniform(*RESISTANCE_RANGE, m) / _UNIT_RESISTANCE
     return network_from_columns(
         node_ids,
         roles,
@@ -162,11 +150,7 @@ def random_connected_wds(cfg: GeneratorConfig) -> Network:
     )
 
 
-def random_ground_truth_state(
-    net: Network, seed: int, head_range: tuple[float, float] = (50.0, 150.0)
-) -> HydraulicState:
-    """Physically correct state from uniformly sampled heads (closed-form completion)."""
-    rng = np.random.default_rng(seed)
-    lo, hi = head_range
-    heads = rng.uniform(lo, hi, net.n_nodes)
+def random_ground_truth_state(net: Network, seed: int) -> HydraulicState:
+    """Physically correct state from heads drawn uniformly from :data:`HEAD_RANGE` (closed form)."""
+    heads = np.random.default_rng(seed).uniform(*HEAD_RANGE, net.n_nodes)
     return complete_from_heads(net, heads).state

@@ -666,6 +666,27 @@ class TestStrictParsing:
         assert code == 65
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "command, key",
+        [("validate", "pipes"), ("analyze", "R"), ("solve", "R"), ("check", "R")],
+    )
+    def test_duplicate_key(self, capsys, tmp_path, net_file, command, key):
+        # Without the check the later value would silently replace the earlier one.
+        path = tmp_path / "duplicated.json"
+        if command == "validate":
+            path.write_text(Path(net_file).read_text().replace('"nodes"', '"pipes": [], "nodes"'))
+            argv = [command, str(path)]
+        else:
+            path.write_text('{"heads": {"R": 100.0, "J1": 99.0, "R": 200.0}, '
+                            '"flows": {"P1": 0.5}, "demands": {"J1": 0.5}}')
+            flag = {"analyze": "--pattern", "solve": "--obs", "check": "--state"}[command]
+            argv = [command, net_file, flag, str(path)]
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert f"duplicate key {key!r}" in captured.err
+
 
 class TestCheck:
     def test_ground_truth_passes(self, capsys, tmp_path, triangle_file, triangle_net):
@@ -691,6 +712,23 @@ class TestCheck:
         code, payload = invoke(capsys, ["check", triangle_file, "--state", state])
         assert code == 65
         assert payload is None
+
+    @pytest.mark.parametrize(
+        "section, added",
+        [("heads", ["ZZZ", "AAA"]), ("flows", ["ZZZ"]), ("demands", ["R"])],
+        ids=["heads", "flows", "reservoir_demand"],
+    )
+    def test_unknown_id_is_parse_error(
+        self, capsys, tmp_path, triangle_file, triangle_net, section, added
+    ):
+        doc = state_to_json_dict(triangle_net, random_ground_truth_state(triangle_net, seed=5))
+        doc[section].update(dict.fromkeys(added, 1.0))
+        state = write_json(tmp_path / "state.json", doc)
+        code = run_cli(["check", triangle_file, "--state", state])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert f"unknown id {added[0]!r} in state section {section!r}" in captured.err
 
 
 class TestAnalyze:

@@ -95,7 +95,6 @@ class TestResiduals:
             assert report.physically_correct(1e-12)
 
     def test_single_flow_perturbation(self, path_net):
-        state = random_ground_truth_state(path_net, seed=5, head_range=(98.0, 102.0))
         # force |q| near 1 on pipe e1 by constructing heads directly
         heads = np.array([100.0, 99.0, 98.9])
         from hydrostate import complete_from_heads

@@ -30,7 +30,6 @@ from hydrostate import network, structure
 from hydrostate.network import orient_forest
 from hydrostate.structure import (
     DEFAULT_IMAGE_TOL,
-    flow_pattern_rank,
     greedy_independent_columns,
     integer_determinant,
     integer_rank,
@@ -182,6 +181,11 @@ class TestCycleSpaceBasis:
             for v in basis.vectors:
                 assert v.dtype.kind == "i"
                 assert not np.any(B_vc @ v)
+            # One kernel vector per chord with 1 on it and 0 on every other chord:
+            # that pins the fundamental cycles down uniquely.
+            chords = [net.pipe_index[pid] for pid in basis.decomposition.dependent]
+            on_chords = np.array(basis.vectors).reshape(-1, net.n_pipes)[:, chords]
+            assert np.array_equal(on_chords, np.eye(len(chords)))
 
 
 class TestImageMembership:
@@ -221,10 +225,10 @@ class TestImageMembership:
 
 
 class TestPatternHelpers:
-    def test_flow_pattern_rank(self, triangle_net):
-        assert flow_pattern_rank(triangle_net, ("e1", "e2")) == 2
-        assert flow_pattern_rank(triangle_net, ("e3",)) == 1
-        assert flow_pattern_rank(triangle_net, ()) == 0
+    def test_greedy_size_is_rank(self, triangle_net):
+        assert len(greedy_independent_columns(triangle_net, ("e1", "e2"))) == 2
+        assert len(greedy_independent_columns(triangle_net, ("e3",))) == 1
+        assert len(greedy_independent_columns(triangle_net, ())) == 0
 
     def test_greedy_restricted_to_candidates(self, triangle_net):
         assert greedy_independent_columns(triangle_net, ("e2", "e3")) == ("e2", "e3")
@@ -284,7 +288,7 @@ class TestForestScan:
         candidates = data.draw(st.lists(st.sampled_from(net.pipe_ids), max_size=2 * net.n_pipes))
         assert greedy_independent_columns(net, candidates) == rank_greedy_oracle(net, candidates)
         B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids)
-        assert flow_pattern_rank(net, candidates) == integer_rank(
+        assert len(greedy_independent_columns(net, candidates)) == integer_rank(
             B_vc.restrict(pipes=candidates).entries
         )
         independent = rank_greedy_oracle(net, net.pipe_ids)
@@ -328,19 +332,16 @@ class TestForestScan:
         assert select_independent_edges(net) == EdgeDecomposition(("a",), ("rr", "b"))
         assert greedy_independent_columns(net, ("rr",)) == ()
         assert greedy_independent_columns(net, ("b", "rr")) == ("b",)
-        assert flow_pattern_rank(net, ("rr",)) == 0
 
     def test_pipe_parallel_to_forest_pipe(self, parallel_triangle_net):
         net = parallel_triangle_net
         assert select_independent_edges(net) == EdgeDecomposition(("e1", "e2"), ("e1p", "e3"))
         assert greedy_independent_columns(net, ("e1p", "e1")) == ("e1",)
         assert greedy_independent_columns(net, ("e3", "e1p")) == ("e1p", "e3")
-        assert flow_pattern_rank(net, ("e1p", "e1")) == 1
-        assert flow_pattern_rank(net, ("e1p", "e1", "e3")) == 2
+        assert greedy_independent_columns(net, ("e1p", "e1", "e3")) == ("e1", "e3")
 
     def test_empty_candidate_set(self, triangle_net):
         assert greedy_independent_columns(triangle_net, ()) == ()
-        assert flow_pattern_rank(triangle_net, []) == 0
 
     @pytest.mark.parametrize(
         "candidates", [("nope",), ("e1", "nope", "e2"), ("e1", "e2", "e3", "nope")]
@@ -348,8 +349,6 @@ class TestForestScan:
     def test_unknown_pipe_id(self, triangle_net, candidates):
         with pytest.raises(UnknownNodeError, match="nope"):
             greedy_independent_columns(triangle_net, candidates)
-        with pytest.raises(UnknownNodeError, match="nope"):
-            flow_pattern_rank(triangle_net, candidates)
 
 
 def test_spanning_forest_of_a_large_grid():

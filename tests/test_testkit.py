@@ -21,7 +21,7 @@ from hydrostate import (
     resistance,
     residuals,
 )
-from hydrostate.testkit import MAX_PARALLEL_PIPES
+from hydrostate.testkit import HEAD_RANGE, MAX_PARALLEL_PIPES, RESISTANCE_RANGE
 
 
 def slot_list_oracle(cfg: GeneratorConfig):
@@ -59,10 +59,9 @@ def slot_list_oracle(cfg: GeneratorConfig):
             tail, head = (a, b) if rng.random() < 0.5 else (b, a)
             edges.append((tail, head))
 
-    r_lo, r_hi = cfg.resistance_range
     pipes = []
     for k, (tail, head) in enumerate(edges):
-        target_r = float(rng.uniform(r_lo, r_hi))
+        target_r = float(rng.uniform(*RESISTANCE_RANGE))
         pipes.append(
             (f"P{k + 1}", node_ids[tail], node_ids[head], params_for_resistance(target_r))
         )
@@ -119,12 +118,10 @@ class TestRandomConnectedWds:
         assert a != b
 
     def test_resistances_in_range(self):
-        cfg = GeneratorConfig(
-            seed=3, n_consumers=8, extra_edges=4, resistance_range=(2.0, 3.0)
-        )
-        net = random_connected_wds(cfg)
-        assert np.all(net.resistances >= 2.0)
-        assert np.all(net.resistances <= 3.0)
+        net = random_connected_wds(GeneratorConfig(seed=3, n_consumers=8, extra_edges=4))
+        r_lo, r_hi = RESISTANCE_RANGE
+        assert np.all(net.resistances >= r_lo)
+        assert np.all(net.resistances <= r_hi)
 
     def test_infeasible_extra_edges(self):
         # 2 nodes: one pair, capacity MAX_PARALLEL_PIPES, tree uses one slot
@@ -172,18 +169,6 @@ class TestRandomConnectedWds:
         assert network_to_json_dict(random_connected_wds(cfg)) == network_to_json_dict(
             random_connected_wds(GeneratorConfig(seed=4, n_reservoirs=1, n_consumers=3))
         )
-
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"resistance_range": (0.5, float("inf"))},
-            {"resistance_range": (float("nan"), 5.0)},
-        ],
-        ids=["inf_resistance", "nan_resistance"],
-    )
-    def test_non_finite_range_is_infeasible(self, fields):
-        with pytest.raises(InfeasibleConfigError, match="must be finite"):
-            random_connected_wds(GeneratorConfig(seed=1, n_consumers=2, **fields))
 
     def test_parallel_cap_respected(self):
         cfg = GeneratorConfig(seed=9, n_reservoirs=1, n_consumers=3, extra_edges=8)
@@ -267,12 +252,6 @@ class TestRandomGroundTruthState:
         state = random_ground_truth_state(net, seed=5)
         assert residuals(net, state).physically_correct(1e-12)
 
-    def test_constant_head_range_means_no_flow(self):
-        net = random_connected_wds(GeneratorConfig(seed=12, n_consumers=4, extra_edges=1))
-        state = random_ground_truth_state(net, seed=6, head_range=(80.0, 80.0))
-        assert np.all(state.flows == 0.0)
-        assert np.all(state.demands == 0.0)
-
     def test_determinism(self):
         net = random_connected_wds(GeneratorConfig(seed=13, n_consumers=4))
         a = random_ground_truth_state(net, seed=7)
@@ -283,6 +262,7 @@ class TestRandomGroundTruthState:
 
     def test_heads_inside_range(self):
         net = random_connected_wds(GeneratorConfig(seed=14, n_consumers=5))
-        state = random_ground_truth_state(net, seed=8, head_range=(90.0, 110.0))
-        assert np.all(state.heads >= 90.0)
-        assert np.all(state.heads <= 110.0)
+        state = random_ground_truth_state(net, seed=8)
+        h_lo, h_hi = HEAD_RANGE
+        assert np.all(state.heads >= h_lo)
+        assert np.all(state.heads <= h_hi)
