@@ -6,6 +6,8 @@ routes or classify whether the observation pattern determines the state at
 all.
 """
 
+import importlib
+
 from .completion import (
     CompletionMethod,
     ObservationSet,
@@ -48,15 +50,12 @@ from .hydraulics import (
     residuals,
     state_from_json_dict,
     state_to_json_dict,
-    symmetric_expansion,
 )
 from .network import (
-    IncidenceMatrix,
     Network,
     NodeRole,
     PipeParams,
     build_network,
-    incidence_matrix,
     network_from_columns,
     network_from_json_dict,
     network_to_json_dict,
@@ -70,21 +69,21 @@ from .structure import (
     cycle_space_basis,
     image_membership,
     select_independent_edges,
-    submatrix_rank,
 )
 
 __version__ = "0.1.0"
 
-#: Generator names, imported from :mod:`hydrostate.testkit` on first use so
-#: that the solver and the CLI load without the generator.
-_TESTKIT_NAMES = frozenset(
-    {"GeneratorConfig", "params_for_resistance", "random_connected_wds", "random_ground_truth_state"}
-)
+#: Names loaded from their submodule on first use, so that the solver and the
+#: CLI load neither the generator nor the exact test oracles.
+_LAZY_EXPORTS = {
+    **dict.fromkeys(("GeneratorConfig", "params_for_resistance", "random_connected_wds",
+                     "random_ground_truth_state"), "testkit"),
+    **dict.fromkeys(("IncidenceMatrix", "incidence_matrix", "integer_determinant", "integer_rank",
+                     "submatrix_rank", "symmetric_expansion"), "exact"),
+}
 
 
 def __getattr__(name: str):
-    if name in _TESTKIT_NAMES:
-        from . import testkit
-
-        return getattr(testkit, name)
+    if name in _LAZY_EXPORTS:
+        return getattr(importlib.import_module(f".{_LAZY_EXPORTS[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

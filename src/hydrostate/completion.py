@@ -79,7 +79,7 @@ class ObservationSet:
     demands: Mapping[str, float] = field(default_factory=dict)
 
     def validate(self, net: Network) -> None:
-        """Check that every key resolves; demand keys must be consumer nodes."""
+        """Check that every id resolves (demands to consumers) and every value is finite."""
         for nid in self.heads:
             if nid not in net.node_index:
                 raise InvalidObservationError(f"head observation at unknown node {nid!r}")
@@ -92,6 +92,11 @@ class ObservationSet:
                 raise InvalidObservationError(
                     f"demand observation at {nid!r}, which is not a consumer node"
                 )
+        for section in ("heads", "flows", "demands"):
+            for key, value in getattr(self, section).items():
+                if not math.isfinite(float(value)):
+                    where = f"{value!r} at {key!r} in observation section {section!r}"
+                    raise InvalidObservationError(f"non-finite value {where}")
 
     def covers_all_heads(self, net: Network) -> bool:
         return all(nid in self.heads for nid in net.node_ids)

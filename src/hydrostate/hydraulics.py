@@ -16,12 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import FormatError
-from .network import (
-    HAZEN_WILLIAMS_EXPONENT,
-    Network,
-    consumer_outflow,
-    incidence_matrix,
-)
+from .network import HAZEN_WILLIAMS_EXPONENT, Network, consumer_outflow
 
 #: Residual tolerance for accepting an iteratively solved state.
 SOLVER_TOLERANCE = 1e-8
@@ -192,20 +187,3 @@ def monotonicity_gap(net: Network, flows_a: np.ndarray, flows_b: np.ndarray) -> 
     r = net.resistances
     terms = (head_loss(qa, r) - head_loss(qb, r)) * (qa - qb)
     return math.fsum(terms.tolist())
-
-
-def symmetric_expansion(net: Network, flows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Expand flows to the doubled representation with one edge per direction.
-
-    Returns ``(B_sym, q_sym)``: the incidence matrix over all nodes with a
-    forward column per pipe followed by its reversed column, and the matching
-    flow vector with ``q_reverse = -q_forward``. In this representation the
-    consumer rows of ``B_sym @ q_sym`` equal minus twice the demands.
-    """
-    flows = np.asarray(flows, dtype=float)
-    if flows.shape != (net.n_pipes,):
-        raise ValueError(f"flow vector must have one entry per pipe ({net.n_pipes})")
-    B = incidence_matrix(net).entries.astype(float)
-    B_sym = np.hstack([B, -B])
-    q_sym = np.concatenate([flows, -flows])
-    return B_sym, q_sym

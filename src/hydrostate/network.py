@@ -5,10 +5,9 @@ by pipes. It is stored as columns: node ids and roles, pipe ids, the tail and
 head node index of every pipe, and its length, diameter and roughness. Every
 physical pipe is stored once, with the orientation given at construction time
 as its canonical orientation; flow signs downstream are interpreted relative
-to that orientation. Networks and incidence matrices are immutable after
-construction and safe to share between threads. Derived structures, such as
-the grounded tree and the head-matrix layout of :mod:`hydrostate.band`, are
-cached on first use.
+to that orientation. Networks are immutable after construction and safe to
+share between threads. Derived structures, such as the grounded tree and the
+head-matrix layout of :mod:`hydrostate.band`, are cached on first use.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ HAZEN_WILLIAMS_EXPONENT = 1.852
 #: r = 10.67 * length * diameter**-4.8704 * roughness**-1.852.
 RESISTANCE_COEFFICIENT = 10.67
 RESISTANCE_DIAMETER_EXPONENT = -4.8704
+_PARAMETERS = ("length", "diameter", "roughness")
 
 
 class NodeRole(enum.Enum):
@@ -73,10 +73,16 @@ class PipeParams:
 def resistance(params: PipeParams) -> float:
     """Hazen-Williams resistance coefficient of a pipe.
 
-    Positive for ordinary parameters; inf or NaN where a power overflows and
-    0.0 where it underflows, bit for bit as :attr:`Network.resistances`
-    computes it. :func:`network_from_columns` rejects all three.
+    Raises :class:`NonpositiveParameterError`, as the validator does, for a
+    parameter that is not finite and positive. Otherwise positive; inf or NaN
+    where a power overflows and 0.0 where it underflows, bit for bit as
+    :attr:`Network.resistances` computes it. :func:`network_from_columns`
+    rejects all three.
     """
+    for name in _PARAMETERS:
+        value = getattr(params, name)
+        if not (math.isfinite(value) and value > 0):
+            raise NonpositiveParameterError(f"{name} must be finite and > 0, got {value!r}")
     return (
         RESISTANCE_COEFFICIENT
         * params.length
@@ -224,65 +230,6 @@ def _positions_of(roles: tuple[NodeRole, ...], role: NodeRole) -> np.ndarray:
     return idx
 
 
-@dataclass(frozen=True, eq=False)
-class IncidenceMatrix:
-    """Signed node-by-pipe incidence matrix with entries in {-1, 0, +1}.
-
-    Each column carries +1 at the pipe's tail and -1 at its head. Row and
-    column order follow the id tuples; :meth:`restrict` produces the
-    submatrix for any node and/or pipe subset.
-    """
-
-    entries: np.ndarray
-    node_ids: tuple[str, ...]
-    pipe_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
-
-    @cached_property
-    def _row_index(self) -> dict[str, int]:
-        return {nid: i for i, nid in enumerate(self.node_ids)}
-
-    @cached_property
-    def _col_index(self) -> dict[str, int]:
-        return {pid: j for j, pid in enumerate(self.pipe_ids)}
-
-    def restrict(
-        self,
-        nodes: Sequence[str] | None = None,
-        pipes: Sequence[str] | None = None,
-    ) -> "IncidenceMatrix":
-        """Submatrix for the given node rows and/or pipe columns."""
-        mat = self.entries
-        row_ids = self.node_ids
-        col_ids = self.pipe_ids
-        if nodes is not None:
-            try:
-                rows = [self._row_index[nid] for nid in nodes]
-            except KeyError as exc:
-                raise UnknownNodeError(f"unknown node id: {exc.args[0]!r}") from None
-            mat = mat[rows, :]
-            row_ids = tuple(nodes)
-        if pipes is not None:
-            try:
-                cols = [self._col_index[pid] for pid in pipes]
-            except KeyError as exc:
-                raise UnknownNodeError(f"unknown pipe id: {exc.args[0]!r}") from None
-            mat = mat[:, cols]
-            col_ids = tuple(pipes)
-        return IncidenceMatrix(np.ascontiguousarray(mat), row_ids, col_ids)
-
-
-def incidence_matrix(net: Network) -> IncidenceMatrix:
-    """Full incidence matrix of a network."""
-    mat = np.zeros((net.n_nodes, net.n_pipes), dtype=np.int64)
-    cols = np.arange(net.n_pipes)
-    mat[net.tail_indices, cols] = 1
-    mat[net.head_indices, cols] = -1
-    return IncidenceMatrix(mat, net.node_ids, net.pipe_ids)
-
-
 def consumer_outflow(net: Network, pipe_values: np.ndarray) -> np.ndarray:
     """``Bc @ pipe_values`` for the consumer-row incidence ``Bc``, without building it.
 
@@ -300,7 +247,6 @@ PipeSpec = tuple[str, str, str, PipeParams]
 
 #: Role spellings the column test resolves without :meth:`NodeRole.parse`.
 _ROLES = {key: role for role in NodeRole for key in (role, role.value)}
-_PARAMETERS = ("length", "diameter", "roughness")
 
 
 def build_network(nodes: Iterable[NodeSpec], pipes: Iterable[PipeSpec]) -> Network:

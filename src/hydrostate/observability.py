@@ -1,8 +1,8 @@
 """Classify observation patterns by which guarantee covers them, and complete by it.
 
-The classifier is purely structural: it looks at which ids are observed and
-at column ranks (at most one union-find scan of the observed pipes), never at
-the observed values; :func:`complete` checks the values against the completed state.
+The classifier is structural: it reads which ids are observed and column
+ranks (at most one union-find scan of the observed pipes), and of the values
+only rejects non-finite ones; :func:`complete` checks them against the state.
 """
 
 from __future__ import annotations

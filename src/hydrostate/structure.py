@@ -7,11 +7,8 @@ selection. The consumer rows are the reduced incidence matrix of the graph
 with every reservoir merged into one ground node, so a set of pipe columns is
 independent exactly when those pipes form a forest in that grounded graph.
 Forest selection is therefore one union-find pass over the pipes. Every
-runtime structure here reads the pipe end indices; the dense incidence matrix
-serves only :func:`submatrix_rank` and the tests. Exact integer elimination
-remains for it, for determinants and as the test oracle: incidence matrices
-are totally unimodular, so fraction-free elimination keeps every intermediate
-entry in {-1, 0, +1} and needs no floating tolerance.
+structure here reads the pipe end indices; the dense incidence matrix and
+exact elimination on it are the test oracles of :mod:`hydrostate.exact`.
 """
 
 from __future__ import annotations
@@ -22,81 +19,21 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySubsetError, UnknownNodeError
+from .errors import UnknownNodeError
 from .band import consumer_ends
-from .network import IncidenceMatrix, Network, grounded_forest, orient_forest
+from .network import Network, grounded_forest, orient_forest
 
 #: Default relative tolerance of the image-membership test.
 DEFAULT_IMAGE_TOL = 1e-9
 
 
-def integer_rank(entries: np.ndarray) -> int:
-    """Exact rank of an integer matrix whose minors are all -1, 0 or +1."""
-    mat = np.array(entries, dtype=np.int64, copy=True)
-    n_rows, n_cols = mat.shape
-    rank = 0
-    prev_pivot = 1
-    for col in range(n_cols):
-        if rank == n_rows:
-            break
-        nonzero = np.nonzero(mat[rank:, col])[0]
-        if nonzero.size == 0:
-            continue
-        pivot_row = rank + int(nonzero[0])
-        if pivot_row != rank:
-            mat[[rank, pivot_row]] = mat[[pivot_row, rank]]
-        pivot = int(mat[rank, col])
-        below = mat[rank + 1 :, col]
-        # Fraction-free update; dividing by the previous pivot (always +-1 for
-        # totally unimodular input) keeps the arithmetic exact.
-        mat[rank + 1 :] = (pivot * mat[rank + 1 :] - np.outer(below, mat[rank])) * prev_pivot
-        prev_pivot = pivot
-        rank += 1
-    return rank
+def __getattr__(name: str):
+    """``integer_determinant`` of :mod:`hydrostate.exact`, which loads only when it is asked for."""
+    if name == "integer_determinant":
+        from .exact import integer_determinant
 
-
-def integer_determinant(entries: np.ndarray) -> int:
-    """Exact determinant of a square integer matrix with minors in {-1, 0, +1}."""
-    mat = np.array(entries, dtype=np.int64, copy=True)
-    n = mat.shape[0]
-    if mat.shape != (n, n):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    prev_pivot = 1
-    for col in range(n):
-        nonzero = np.nonzero(mat[col:, col])[0]
-        if nonzero.size == 0:
-            return 0
-        pivot_row = col + int(nonzero[0])
-        if pivot_row != col:
-            mat[[col, pivot_row]] = mat[[pivot_row, col]]
-            sign = -sign
-        pivot = int(mat[col, col])
-        below = mat[col + 1 :, col]
-        mat[col + 1 :] = (pivot * mat[col + 1 :] - np.outer(below, mat[col])) * prev_pivot
-        prev_pivot = pivot
-    return sign * int(mat[n - 1, n - 1])
-
-
-def submatrix_rank(B: IncidenceMatrix, rows: Sequence[str]) -> int:
-    """Exact rank of the incidence matrix restricted to the given node rows.
-
-    For a nonempty proper subset of a connected network's nodes the rank
-    always equals the subset size; that identity is asserted. Passing all
-    nodes is allowed and simply reports the full-matrix rank (one less than
-    the node count), with no subset assertion.
-    """
-    rows = tuple(rows)
-    if not rows:
-        raise EmptySubsetError("node subset must be nonempty")
-    unknown = [r for r in rows if r not in B.node_ids]
-    if unknown:
-        raise UnknownNodeError(f"unknown node id: {unknown[0]!r}")
-    if len(set(rows)) == len(B.node_ids):
-        return integer_rank(B.entries)
-    rank = integer_rank(B.restrict(nodes=rows).entries)
-    assert rank == len(set(rows)), "proper node subsets of a connected network have full row rank"
-    return rank
+        return integer_determinant
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -792,39 +792,57 @@ def test_emit_is_plain_json_dumps(capsys, triangle_net):
     assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
 
 
+def _loaded_in_child(code: str) -> list[str]:
+    """What a fresh interpreter running ``code`` prints to stderr, split into words."""
+    src = str(Path(hydrostate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
+        check=True,
+    )
+    return child.stderr.split()
+
+
 def test_cli_import_loads_no_scipy():
-    src = str(Path(hydrostate.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, hydrostate.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)"
     )
-    child = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
-        check=True,
-    )
-    assert child.stdout.strip() == "[]"
+    assert _loaded_in_child(code) == ["[]"]
 
 
-def test_cli_solve_loads_no_generator(tmp_path, net_file):
-    # ``solve`` never needs the random network generator, so it is not imported.
-    src = str(Path(hydrostate.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    obs = write_json(tmp_path / "obs.json", {"heads": {"R": 100.0}, "demands": {"J1": 0.5}})
+#: Modules that neither ``import hydrostate`` nor ``hydrostate solve`` may load.
+_NOT_LOADED = "[m in sys.modules for m in ('hydrostate.testkit', 'hydrostate.exact')]"
+
+
+@pytest.mark.parametrize(
+    "observed, theorem",
+    [({"heads": {"R": 100.0}, "demands": {"J1": 0.5}}, "demand_driven"),
+     ({"heads": {"R": 100.0}, "flows": {"P1": 0.5}}, "forest_flows")],
+    ids=["demand_driven", "forest_flows"],
+)
+def test_cli_solve_loads_no_generator(tmp_path, net_file, observed, theorem):
+    # ``solve`` never needs the random network generator or the exact test
+    # oracles, so neither is imported.
+    obs = write_json(tmp_path / "obs.json", observed)
     code = (
-        "import sys, hydrostate.cli; "
-        f"code = hydrostate.cli.run_cli(['solve', {net_file!r}, '--obs', {obs!r}]); "
-        "print(code, 'hydrostate.testkit' in sys.modules, file=sys.stderr)"
+        "import io, json, sys, contextlib, hydrostate.cli; out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = hydrostate.cli.run_cli(['solve', {net_file!r}, '--obs', {obs!r}])\n"
+        f"print(code, json.loads(out.getvalue())['theorem'], *{_NOT_LOADED}, file=sys.stderr)"
     )
-    child = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60,
-        check=True,
-    )
-    assert child.stderr.split() == ["0", "False"]
-    # The package still exports the generator names, loaded on first use.
+    assert _loaded_in_child(code) == ["0", theorem, "False", "False"]
+
+
+def test_import_loads_no_generator():
+    code = f"import sys, hydrostate; print(*{_NOT_LOADED}, file=sys.stderr)"
+    assert _loaded_in_child(code) == ["False", "False"]
+    # The package still exports the generator and oracle names, loaded on first use.
+    from hydrostate import incidence_matrix as oracle
     from hydrostate import random_connected_wds as exported
+    from hydrostate.exact import incidence_matrix
 
-    assert exported is random_connected_wds
+    assert exported is random_connected_wds and oracle is incidence_matrix
 
 
 # --- byte-identity guard on the linear routes ---------------------------------

@@ -30,7 +30,7 @@ from hydrostate import (
     resistance,
 )
 from hydrostate.network import NodeRole, _resistances, join_sets
-from hydrostate.structure import integer_rank
+from hydrostate.exact import integer_rank
 
 from conftest import make_random_networks
 
@@ -171,6 +171,17 @@ class TestResistance:
         assert resistance(params) == column[0] == expected
         with pytest.raises(NonpositiveParameterError, match="resistance must be finite"):
             build_network([("R", "reservoir"), ("c1", "consumer")], [("p", "R", "c1", params)])
+
+    @pytest.mark.parametrize("value", [-1.0, -0.3, 0.0, float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["length", "diameter", "roughness"])
+    def test_rejects_a_parameter_the_validator_rejects(self, field, value):
+        # A negative float to a non-integer power is complex in Python, so an
+        # unchecked diameter of -0.3 would give (-0.68-0.29j).
+        bad = PipeParams(**{**UNIT.__dict__, field: value})
+        with pytest.raises(NonpositiveParameterError, match=f"^{field} must be finite and > 0, got "):
+            resistance(bad)
+        with pytest.raises(NonpositiveParameterError, match=f"pipe 'p': {field} must be finite"):
+            build_network([("R", "reservoir"), ("c1", "consumer")], [("p", "R", "c1", bad)])
 
     @pytest.mark.parametrize("diameter", [1e-60, 0.3, 1e60])
     def test_in_range_is_the_network_value(self, diameter):

@@ -1,10 +1,13 @@
 """Tests for the observation-pattern classifier."""
 
+import re
+
 import numpy as np
 import pytest
 
 from hydrostate import (
     CompletionMethod,
+    GeneratorConfig,
     InconsistentObservationsError,
     InvalidObservationError,
     NotCoveredError,
@@ -16,6 +19,7 @@ from hydrostate import (
     complete_from_forest_flows,
     complete_from_heads,
     complete_from_reservoir_heads_and_flows,
+    random_connected_wds,
     select_independent_edges,
     solve_reservoir_heads_demands,
 )
@@ -284,6 +288,31 @@ class TestComplete:
             with pytest.raises(InvalidObservationError, match="unknown node 'nope'"):
                 complete(triangle_net, ObservationSet(heads={"nope": 1.0}), theorem)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("section", ["heads", "flows", "demands"])
+    def test_every_route_rejects_a_non_finite_observation(self, section, value):
+        # A NaN comparison is False, so a check against the completed state
+        # cannot catch a NaN that the route did not use: a NaN demand beside all
+        # heads used to complete by the all-heads route.
+        net = random_connected_wds(GeneratorConfig(seed=3, n_consumers=4, extra_edges=2))
+        truth = random_ground_truth_state(net, seed=3)
+        some, reservoirs = list(net.consumer_ids[1:]), list(net.reservoir_ids)
+        cases = [
+            (CompletionMethod.ALL_HEADS, net.node_ids, net.pipe_ids, net.consumer_ids),
+            (CompletionMethod.FOREST_FLOWS, reservoirs + some, net.pipe_ids, some),
+            (CompletionMethod.HEADS_AND_FLOWS, reservoirs + some, net.pipe_ids, net.consumer_ids),
+            (CompletionMethod.DEMAND_DRIVEN, reservoirs + some, net.pipe_ids, net.consumer_ids),
+        ]
+        for route, heads, flows, demands in cases:
+            obs = _pattern_from_state(net, truth, heads, flows, demands)
+            assert complete(net, obs, route).theorem is route
+            for key in getattr(obs, section):
+                bad = ObservationSet(**{**vars(obs), section: {**getattr(obs, section), key: value}})
+                where = f"{value!r} at {key!r} in observation section {section!r}"
+                for theorem in (None, route):
+                    with pytest.raises(InvalidObservationError, match=re.escape(where)):
+                        complete(net, bad, theorem)
 
     def test_not_covered(self, triangle_net):
         obs = ObservationSet(heads={"R": 100.0}, flows={"e3": 0.1})

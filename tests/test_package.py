@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 import hydrostate.cli
-import hydrostate.testkit  # noqa: F401  (loaded so that every module is patched below)
+import hydrostate.exact  # noqa: F401  (loaded so that every module is patched below)
+import hydrostate.testkit  # noqa: F401
 from hydrostate import (
     CompletionMethod,
     GeneratorConfig,
@@ -38,9 +39,10 @@ def test_runtime_paths_build_no_dense_incidence(monkeypatch, tmp_path, capsys):
 
     bound = [m for name, m in sys.modules.items()
              if name.split(".")[0] == "hydrostate" and "incidence_matrix" in vars(m)]
-    assert {m.__name__ for m in bound} >= {"hydrostate", "hydrostate.network"}
+    assert {m.__name__ for m in bound} == {"hydrostate.exact"}  # the package exports it lazily
     for module in bound:
         monkeypatch.setattr(module, "incidence_matrix", refuse)
+    assert hydrostate.incidence_matrix is refuse
 
     heads = dict(zip(net.node_ids, truth.heads.tolist()))
     reservoir_heads = {nid: heads[nid] for nid in net.reservoir_ids}

@@ -27,12 +27,11 @@ from hydrostate import (
     submatrix_rank,
 )
 from hydrostate import network, structure
+from hydrostate.exact import integer_determinant, integer_rank
 from hydrostate.network import orient_forest
 from hydrostate.structure import (
     DEFAULT_IMAGE_TOL,
     greedy_independent_columns,
-    integer_determinant,
-    integer_rank,
     pipe_positions,
     tree_walk,
     walk_heads,
@@ -99,6 +98,33 @@ class TestIntegerElimination:
         B = incidence_matrix(parallel_triangle_net)
         square = B.restrict(nodes=("c1", "c2"), pipes=("e1", "e1p")).entries
         assert integer_determinant(square) == 0
+
+    def test_determinant_matches_numpy_with_its_sign(self):
+        # Square consumer-row submatrices on random spanning forests (determinant
+        # +-1) and on any pipe sets, with the rows in random order.
+        rng = np.random.default_rng(41)
+        found = []
+        for net in make_random_networks(60, seed0=43, max_nodes=14):
+            B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids)
+            for forest in (True, True, False, False):
+                if forest:
+                    kept = network.grounded_forest(net, rng.permutation(net.n_pipes).tolist())
+                    pipes = [net.pipe_ids[j] for j in kept]
+                else:
+                    pipes = list(rng.choice(net.pipe_ids, net.n_consumers, replace=False))
+                square = B_vc.restrict(nodes=list(rng.permutation(net.consumer_ids)), pipes=pipes)
+                det = integer_determinant(square.entries)
+                assert det == round(np.linalg.det(square.entries.astype(float)))
+                assert det != 0 or not forest
+                found.append(det)
+        assert len(found) >= 200 and set(found) == {-1, 0, 1}
+
+    def test_empty_matrix(self):
+        empty = np.zeros((0, 0), dtype=np.int64)
+        assert integer_determinant(empty) == 1
+        assert integer_rank(empty) == 0
+        with pytest.raises(ValueError, match="square"):
+            integer_determinant(np.zeros((2, 3), dtype=np.int64))
 
 
 class TestSelectIndependentEdges:
