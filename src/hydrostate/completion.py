@@ -46,13 +46,12 @@ from .hydraulics import (
     demands_from_flows,
     head_loss,
     invert_head_loss,
-    json_number,
     residual_report,
     residuals,
     state_to_json_dict,
 )
 from .band import solve_heads
-from .network import Network, consumer_outflow
+from .network import Network, consumer_outflow, finite_numbers
 from .structure import (
     DEFAULT_IMAGE_TOL,
     EdgeDecomposition,
@@ -79,7 +78,7 @@ class ObservationSet:
     demands: Mapping[str, float] = field(default_factory=dict)
 
     def validate(self, net: Network) -> None:
-        """Check that every id resolves (demands to consumers) and every value is finite."""
+        """Check that each id resolves (demands to consumers) and each value is a finite number."""
         for nid in self.heads:
             if nid not in net.node_index:
                 raise InvalidObservationError(f"head observation at unknown node {nid!r}")
@@ -93,19 +92,8 @@ class ObservationSet:
                     f"demand observation at {nid!r}, which is not a consumer node"
                 )
         for section in ("heads", "flows", "demands"):
-            for key, value in getattr(self, section).items():
-                if not math.isfinite(float(value)):
-                    where = f"{value!r} at {key!r} in observation section {section!r}"
-                    raise InvalidObservationError(f"non-finite value {where}")
-
-    def covers_all_heads(self, net: Network) -> bool:
-        return all(nid in self.heads for nid in net.node_ids)
-
-    def covers_reservoir_heads(self, net: Network) -> bool:
-        return all(nid in self.heads for nid in net.reservoir_ids)
-
-    def covers_all_demands(self, net: Network) -> bool:
-        return all(nid in self.demands for nid in net.consumer_ids)
+            values, where = getattr(self, section), f"observation section {section!r}"
+            finite_numbers(values, values, where, InvalidObservationError)
 
     def head_vector(self, net: Network) -> np.ndarray:
         return self._vector(self.heads, net.node_ids, "head")
@@ -131,20 +119,13 @@ class ObservationSet:
         if not isinstance(doc, Mapping):
             raise FormatError("observation document must be a JSON object")
         def section(key: str) -> dict[str, float]:
-            raw = doc.get(key, {})
+            raw, where = doc.get(key, {}), f"observation section {key!r}"
             if not isinstance(raw, Mapping):
-                raise FormatError(f"observation section {key!r} must be an object")
-            values = {}
-            for k, v in raw.items():
+                raise FormatError(f"{where} must be an object")
+            for k in raw:
                 if not isinstance(k, str):
-                    raise FormatError(f"non-string id {k!r} in observation section {key!r}")
-                values[k] = json_number(v)
-                if not math.isfinite(values[k]):
-                    raise FormatError(
-                        f"non-finite or non-numeric value {v!r} at {k!r}"
-                        f" in observation section {key!r}"
-                    )
-            return values
+                    raise FormatError(f"non-string id {k!r} in {where}")
+            return dict(zip(raw, finite_numbers(raw, raw, where, FormatError)))
         return cls(heads=section("heads"), flows=section("flows"), demands=section("demands"))
 
     def to_json_dict(self) -> dict:
@@ -298,14 +279,14 @@ def check_observations(net: Network, state: HydraulicState, obs: ObservationSet,
     if obs.flows:
         pipes = np.array([net.pipe_index[pid] for pid in obs.flows], dtype=np.intp)
         order = np.argsort(pipes)  # canonical order: an overflow names the first pipe
-        pipes, flows = pipes[order], np.array(list(obs.flows.values()))[order]
+        pipes, flows = pipes[order], np.array(list(obs.flows.values()), dtype=float)[order]
         loss = observed_head_loss(net, pipes, flows)
         h, tails, ends = state.heads, net.tail_indices[pipes], net.head_indices[pipes]
         reservoir = _assemble_heads(net, h[net.reservoir_indices], 0.0)
         _check("flows", h[tails] - h[ends] - loss, loss - (reservoir[tails] - reservoir[ends]), tol)
     completed = {"heads": state.heads, "demands": _assemble_heads(net, 0.0, state.demands)}
     for what, observed in (("heads", obs.heads), ("demands", obs.demands)):
-        values = np.array(list(observed.values()))
+        values = np.array(list(observed.values()), dtype=float)
         _check(what, completed[what][[net.node_index[i] for i in observed]] - values, values, tol)
 
 
@@ -364,9 +345,10 @@ def complete_from_forest_flows(
     from inverting their head drops, the demands from mass balance. The
     forest flows are not checked: the heads are walked from them, so they
     obey the energy law by construction. Raises
-    :class:`DecompositionMismatchError` unless the forest spans the consumers and
-    :class:`ObservationOverflowError` when the head loss of a forest flow, or
-    a head summed from such losses, overflows.
+    :class:`DecompositionMismatchError` unless the forest spans the consumers,
+    :class:`InvalidObservationError` naming the first forest pipe whose flow is
+    not a finite number and :class:`ObservationOverflowError` when the head
+    loss of a forest flow, or a head summed from such losses, overflows.
     """
     dec = decomposition if decomposition is not None else select_independent_edges(net)
     if set(forest_flows) != set(dec.independent):
@@ -383,11 +365,11 @@ def _forest_flows_route(
     net: Network, h_r: np.ndarray, forest: Sequence[str], flows: Mapping[str, float]
 ) -> SolveReport:
     """The forest-flows route on the pipes ``forest``; ``flows`` may hold other pipes too."""
-    q_forest = np.array([float(flows[pid]) for pid in forest])
+    q_forest = finite_numbers(flows, forest, "observation section 'flows'", InvalidObservationError)
     positions = np.array(pipe_positions(net, forest), dtype=np.intp)
     return _complete_on_forest(
         net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, forest,
-        positions, q_forest, None, CompletionMethod.FOREST_FLOWS,
+        positions, np.array(q_forest), None, CompletionMethod.FOREST_FLOWS,
     )
 
 

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import FormatError
-from .network import HAZEN_WILLIAMS_EXPONENT, Network, consumer_outflow
+from .network import HAZEN_WILLIAMS_EXPONENT, Network, consumer_outflow, finite_numbers
 
 #: Residual tolerance for accepting an iteratively solved state.
 SOLVER_TOLERANCE = 1e-8
@@ -74,20 +74,6 @@ def state_to_json_dict(net: Network, state: HydraulicState) -> dict:
     }
 
 
-def json_number(value) -> float:
-    """``value`` as a float when it is a number that fits one, else NaN.
-
-    A boolean or a string is not read as a number, and an integer too large
-    for a float gives NaN, so one finiteness test rejects them all.
-    """
-    if isinstance(value, (bool, str)):
-        return math.nan
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
-
-
 def state_from_json_dict(net: Network, doc: Mapping) -> HydraulicState:
     """Parse a full state document; every node, pipe and consumer must be covered.
 
@@ -102,19 +88,14 @@ def state_from_json_dict(net: Network, doc: Mapping) -> HydraulicState:
         ("heads", net.node_ids), ("flows", net.pipe_ids), ("demands", net.consumer_ids)
     ):
         try:
-            raw = [doc[section][i] for i in ids]
+            values = finite_numbers(doc[section], ids, f"state section {section!r}", FormatError)
             if len(doc[section]) > len(ids):
                 known = set(ids)
                 unknown = next(i for i in doc[section] if i not in known)
                 raise FormatError(f"unknown id {unknown!r} in state section {section!r}")
         except (KeyError, TypeError) as exc:
             raise FormatError(f"incomplete or malformed state document: {exc}") from None
-        values = np.array([json_number(v) for v in raw])
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            where = f"{raw[bad[0]]!r} at {ids[bad[0]]!r} in state section {section!r}"
-            raise FormatError(f"non-finite or non-numeric value {where}")
-        columns.append(values)
+        columns.append(np.array(values))
     return HydraulicState(*columns)
 
 

@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -74,21 +74,49 @@ def resistance(params: PipeParams) -> float:
     """Hazen-Williams resistance coefficient of a pipe.
 
     Raises :class:`NonpositiveParameterError`, as the validator does, for a
-    parameter that is not finite and positive. Otherwise positive; inf or NaN
-    where a power overflows and 0.0 where it underflows, bit for bit as
-    :attr:`Network.resistances` computes it. :func:`network_from_columns`
-    rejects all three.
+    parameter that is not a finite positive number by :func:`json_number`.
+    Otherwise positive; inf or NaN where a power overflows and 0.0 where it
+    underflows, bit for bit as :attr:`Network.resistances` computes it.
+    :func:`network_from_columns` rejects all three.
     """
-    for name in _PARAMETERS:
-        value = getattr(params, name)
-        if not (math.isfinite(value) and value > 0):
-            raise NonpositiveParameterError(f"{name} must be finite and > 0, got {value!r}")
-    return (
-        RESISTANCE_COEFFICIENT
-        * params.length
-        * _power(params.diameter, RESISTANCE_DIAMETER_EXPONENT)
-        * _power(params.roughness, -HAZEN_WILLIAMS_EXPONENT)
-    )
+    values = _parameters([getattr(params, name) for name in _PARAMETERS])
+    return float(_resistances(*(np.array([v]) for v in values))[0])
+
+
+def json_number(value) -> float:
+    """``value`` as a float when it is a real number that fits one, else NaN.
+
+    The one rule for what counts as a number; a float returns unchanged. NaN for
+    booleans (also numpy's), strings, complex numbers, integers too large for a
+    float and all else ``float`` refuses, so one finiteness test rejects them.
+    """
+    if type(value) is float:
+        return value
+    if isinstance(value, (bool, np.bool_, str, bytes, bytearray, complex, np.complexfloating)):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def finite_numbers(values: Mapping, keys: Collection, where: str, error: type) -> list[float]:
+    """``[json_number(values[k]) for k in keys]``; raises ``error`` naming the first bad one."""
+    given = [values[k] for k in keys]
+    numbers = given if set(map(type, given)) == {float} else list(map(json_number, given))
+    if not all(map(math.isfinite, numbers)):
+        key = next(k for k, x in zip(keys, numbers) if not math.isfinite(x))
+        raise error(f"non-finite or non-numeric value {values[key]!r} at {key!r} in {where}")
+    return numbers
+
+
+def _parameters(given: Sequence, prefix: str = "") -> list[float]:
+    """:func:`json_number` of a length, diameter and roughness; each must be finite and > 0."""
+    numbers = [json_number(v) for v in given]
+    for name, value, number in zip(_PARAMETERS, given, numbers):
+        if not 0 < number < math.inf:
+            raise NonpositiveParameterError(f"{prefix}{name} must be finite and > 0, got {value!r}")
+    return numbers
 
 
 def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -285,14 +313,14 @@ def network_from_columns(
     Pipe ``j`` is ``pipe_ids[j]`` from node id ``tails[j]`` to node id
     ``heads[j]``, with ``lengths[j]``, ``diameters[j]`` and ``roughnesses[j]``.
     Raises a distinct :class:`NetworkValidationError` subclass per defect:
-    duplicate ids, unresolved endpoints, self-loops, nonpositive or
-    non-finite pipe parameters, missing reservoirs or consumers,
-    disconnectedness, and a resistance coefficient that overflows or
-    underflows (:class:`NonpositiveParameterError`, computed here once and
-    kept as :attr:`Network.resistances`). Each check is one test over a whole
-    column; only when one fails does a scalar pass look for the earliest
-    defect in input order: nodes before pipes, and each pipe's checks in the
-    order listed above. The resistance check names the first pipe.
+    duplicate ids, unresolved endpoints, self-loops, pipe parameters that are
+    not finite positive numbers (:func:`json_number`), missing reservoirs or
+    consumers, disconnectedness, and a resistance coefficient that overflows or
+    underflows (:class:`NonpositiveParameterError`, computed here once and kept
+    as :attr:`Network.resistances`). Each check is one test over a whole column;
+    only when one fails does a scalar pass look for the earliest defect in input
+    order: nodes before pipes, and each pipe's checks in the order listed above.
+    The resistance check names the first pipe.
     """
     node_ids, roles, pipe_ids = tuple(node_ids), tuple(roles), tuple(pipe_ids)
     fields = (lengths, diameters, roughnesses)
@@ -301,17 +329,24 @@ def network_from_columns(
     index = dict(zip(node_ids, range(len(node_ids))))
     role_column = _lookup(_ROLES, roles)
     ends = _lookup(index, tails), _lookup(index, heads)
-    params = [np.array(values) for values in fields]
+    # New float arrays, NaN where json_number rejects a value. Only a number
+    # array or a list of floats is read whole: np.array reads True among floats as 1.0.
+    params = [
+        v.astype(float) if isinstance(v, np.ndarray) and v.dtype.kind in "fiu"
+        else np.array(v, dtype=float) if set(map(type, v)) == {float}
+        else np.array([json_number(x) for x in v], dtype=float)
+        for v in fields
+    ]
     if not (
         role_column is not None
         and len(index) == len(node_ids)
         and len(set(pipe_ids)) == len(pipe_ids)
         and None not in ends
         and not np.any(np.equal(*ends))
-        and all(p.dtype.kind in "biuf" and np.all(np.isfinite(p) & (p > 0)) for p in params)
+        and all(np.all(np.isfinite(p) & (p > 0)) for p in params)
     ):
         # No defect raised: only spellings the column test does not know were
-        # left, such as the role "Reservoir" or a length given as a Fraction.
+        # left, such as the role "Reservoir".
         role_column = _raise_first_defect(node_ids, roles, pipe_ids, tails, heads, fields)
     if NodeRole.RESERVOIR not in role_column:
         raise NoReservoirError("a network needs at least one reservoir node")
@@ -319,7 +354,7 @@ def network_from_columns(
         raise NoConsumerError("a network needs at least one consumer node")
     _check_connected(len(node_ids), *ends)
     arrays = [np.array(e, dtype=np.intp) for e in ends]
-    arrays += [p.astype(float, copy=False) for p in params]
+    arrays += params
     r = _resistances(*arrays[2:])
     bad = np.flatnonzero(~(np.isfinite(r) & (r > 0)))
     if bad.size:
@@ -364,11 +399,7 @@ def _raise_first_defect(
                 raise UnknownNodeError(f"pipe {pid!r} references unknown node {endpoint!r}")
         if tail == head:
             raise SelfLoopError(f"pipe {pid!r} is a self-loop at {tail!r}")
-        for name, value in zip(_PARAMETERS, fields):
-            if not (math.isfinite(value) and value > 0):
-                raise NonpositiveParameterError(
-                    f"pipe {pid!r}: {name} must be finite and > 0, got {value!r}"
-                )
+        _parameters(fields, f"pipe {pid!r}: ")
     return parsed
 
 
@@ -522,8 +553,8 @@ def _node_columns(entries: Sequence) -> tuple[list, list]:
     return ids, roles
 
 
-def _pipe_columns(entries: Sequence) -> list[list]:
-    """The pipe ids, tails, heads, lengths, diameters and roughnesses, one entry at a time."""
+def _pipe_columns(entries: Sequence) -> list:
+    """The pipe ids, tails and heads, then the parameters as float arrays the validator trusts."""
     strings: list[list] = [[] for _ in _PIPE_IDS]
     floats: list[list] = [[] for _ in _PIPE_NUMBERS]
     for entry in entries:
@@ -544,7 +575,7 @@ def _pipe_columns(entries: Sequence) -> list[list]:
             except OverflowError:
                 message = f"malformed pipe entry: {entry!r} ({key} is out of range)"
                 raise FormatError(message) from None
-    return strings + floats
+    return strings + [np.array(column, dtype=float) for column in floats]
 
 
 def network_to_json_dict(net: Network) -> dict:

@@ -2,7 +2,7 @@
 
 The classifier is structural: it reads which ids are observed and column
 ranks (at most one union-find scan of the observed pipes), and of the values
-only rejects non-finite ones; :func:`complete` checks them against the state.
+only rejects non-numbers and non-finite ones; :func:`complete` checks them against the state.
 """
 
 from __future__ import annotations
@@ -59,17 +59,18 @@ def classify_observation_pattern(net: Network, pattern: ObservationSet) -> Obser
        by the flow route;
     5. anything else -> no covered guarantee, no claim either way.
     """
-    pattern.validate(net)
+    pattern.validate(net)  # every observed id is known, so counts tell coverage
     n_c = net.n_consumers
 
-    if pattern.covers_all_heads(net):
+    if len(pattern.heads) == net.n_nodes:
         return ObservabilityVerdict(
             Verdict.DETERMINED_ALL_HEADS,
             "heads are observed at every node; flows and demands follow uniquely",
         )
 
-    if pattern.covers_reservoir_heads(net):
-        if pattern.covers_all_demands(net):
+    missing = [nid for nid in net.reservoir_ids if nid not in pattern.heads]
+    if not missing:
+        if len(pattern.demands) == n_c:
             return ObservabilityVerdict(
                 Verdict.DETERMINED_DEMAND_DRIVEN,
                 "reservoir heads and all consumer demands determine the state uniquely",
@@ -95,7 +96,6 @@ def classify_observation_pattern(net: Network, pattern: ObservationSet) -> Obser
             detail={"flow_rank": rank, "required_rank": n_c},
         )
 
-    missing = [nid for nid in net.reservoir_ids if nid not in pattern.heads]
     return ObservabilityVerdict(
         Verdict.NOT_COVERED,
         "no covered guarantee matches this observation pattern",

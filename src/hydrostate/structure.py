@@ -14,12 +14,11 @@ exact elimination on it are the test oracles of :mod:`hydrostate.exact`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import UnknownNodeError
+from .errors import DecompositionMismatchError, UnknownNodeError
 from .band import consumer_ends
 from .network import Network, grounded_forest, orient_forest
 
@@ -115,10 +114,15 @@ def cycle_space_basis(net: Network, decomposition: EdgeDecomposition | None = No
 
     The consumer-row columns of the forest and chord pipes are built from the
     pipe ends, and ``Bc V = 0`` is checked once for the whole basis ``V``.
+    Raises :class:`DecompositionMismatchError` unless the decomposition splits
+    every pipe exactly once and its forest spans the grounded graph.
     """
     dec = decomposition if decomposition is not None else select_independent_edges(net)
     forest, chords = pipe_positions(net, dec.independent), pipe_positions(net, dec.dependent)
     positions = forest + chords
+    if len(set(positions)) != len(positions) or len(positions) != net.n_pipes:
+        raise DecompositionMismatchError("the decomposition must hold every pipe exactly once")
+    tree_walk(net, dec.independent)  # cached for the canonical split
     tails, heads = consumer_ends(net)
     columns = np.zeros((net.n_consumers + 1, len(positions)), dtype=np.int64)
     k = np.arange(len(positions))
@@ -138,8 +142,10 @@ def cycle_space_basis(net: Network, decomposition: EdgeDecomposition | None = No
     return CycleBasis(tuple(vectors), dec)
 
 
-def _solve_rational(a: np.ndarray, b: np.ndarray) -> list[list[Fraction]]:
+def _solve_rational(a: np.ndarray, b: np.ndarray) -> list[list]:
     """Solve ``a @ x = b`` column by column over the rationals (a square, invertible)."""
+    from fractions import Fraction  # loaded only here, off every solve route
+
     n = a.shape[0]
     n_rhs = b.shape[1]
     work = [

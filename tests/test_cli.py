@@ -812,7 +812,7 @@ def test_cli_import_loads_no_scipy():
 
 
 #: Modules that neither ``import hydrostate`` nor ``hydrostate solve`` may load.
-_NOT_LOADED = "[m in sys.modules for m in ('hydrostate.testkit', 'hydrostate.exact')]"
+_NOT_LOADED = "[m in sys.modules for m in ('hydrostate.testkit', 'hydrostate.exact', 'fractions')]"
 
 
 @pytest.mark.parametrize(
@@ -822,8 +822,8 @@ _NOT_LOADED = "[m in sys.modules for m in ('hydrostate.testkit', 'hydrostate.exa
     ids=["demand_driven", "forest_flows"],
 )
 def test_cli_solve_loads_no_generator(tmp_path, net_file, observed, theorem):
-    # ``solve`` never needs the random network generator or the exact test
-    # oracles, so neither is imported.
+    # ``solve`` never needs the random network generator, the exact test
+    # oracles or the rational cycle-basis solve, so none is imported.
     obs = write_json(tmp_path / "obs.json", observed)
     code = (
         "import io, json, sys, contextlib, hydrostate.cli; out = io.StringIO()\n"
@@ -831,12 +831,12 @@ def test_cli_solve_loads_no_generator(tmp_path, net_file, observed, theorem):
         f"    code = hydrostate.cli.run_cli(['solve', {net_file!r}, '--obs', {obs!r}])\n"
         f"print(code, json.loads(out.getvalue())['theorem'], *{_NOT_LOADED}, file=sys.stderr)"
     )
-    assert _loaded_in_child(code) == ["0", theorem, "False", "False"]
+    assert _loaded_in_child(code) == ["0", theorem, "False", "False", "False"]
 
 
 def test_import_loads_no_generator():
     code = f"import sys, hydrostate; print(*{_NOT_LOADED}, file=sys.stderr)"
-    assert _loaded_in_child(code) == ["False", "False"]
+    assert _loaded_in_child(code) == ["False", "False", "False"]
     # The package still exports the generator and oracle names, loaded on first use.
     from hydrostate import incidence_matrix as oracle
     from hydrostate import random_connected_wds as exported

@@ -213,6 +213,38 @@ class TestCycleSpaceBasis:
             on_chords = np.array(basis.vectors).reshape(-1, net.n_pipes)[:, chords]
             assert np.array_equal(on_chords, np.eye(len(chords)))
 
+    @pytest.mark.parametrize(
+        "split, error",
+        [
+            (lambda f, c: ((c[0],) + f[1:], (f[0],) + c[1:]), DecompositionMismatchError),
+            (lambda f, c: (f[:-1], c), DecompositionMismatchError),
+            (lambda f, c: (f, c + c[:1]), DecompositionMismatchError),
+            (lambda f, c: (f, c + f[:1]), DecompositionMismatchError),
+            (lambda f, c: (f, c[:-1] + ("nope",)), UnknownNodeError),
+        ],
+        ids=["forest_swapped_with_chord", "forest_pipe_dropped", "chord_twice",
+             "forest_pipe_as_chord", "unknown_chord"],
+    )
+    def test_rejects_a_split_that_is_not_a_spanning_forest(self, split, error):
+        # A swap once ended in a bare StopIteration of the rational solve, a
+        # dropped forest pipe in an IndexError.
+        net = random_connected_wds(GeneratorConfig(seed=3, n_consumers=5, extra_edges=3))
+        dec = select_independent_edges(net)
+        with pytest.raises(error):
+            cycle_space_basis(net, EdgeDecomposition(*split(dec.independent, dec.dependent)))
+
+    def test_any_spanning_forest_gives_a_basis(self):
+        net = random_connected_wds(GeneratorConfig(seed=3, n_consumers=5, extra_edges=3))
+        dec = select_independent_edges(net)
+        # Swapping a chord with a forest pipe on its cycle keeps a spanning forest.
+        cycle = cycle_space_basis(net, dec).vectors[0]
+        out = next(p for p in dec.independent if cycle[net.pipe_index[p]])
+        forest = tuple(dec.dependent[0] if p == out else p for p in dec.independent)
+        chords = (out,) + dec.dependent[1:]
+        basis = cycle_space_basis(net, EdgeDecomposition(forest, chords))
+        B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids).entries
+        assert basis.dimension == len(chords) and not np.any(B_vc @ np.array(basis.vectors).T)
+
 
 class TestImageMembership:
     def test_tree_is_always_member(self, path_net):
