@@ -65,9 +65,7 @@ from .observability import ObservabilityVerdict, Verdict, classify_observation_p
 from .structure import (
     CycleBasis,
     EdgeDecomposition,
-    ImageMembership,
     cycle_space_basis,
-    image_membership,
     select_independent_edges,
 )
 

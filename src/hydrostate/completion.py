@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 import sys
 import warnings
@@ -43,17 +44,14 @@ from .hydraulics import (
     SOLVER_TOLERANCE,
     HydraulicState,
     ResidualReport,
-    demands_from_flows,
     head_loss,
     invert_head_loss,
     residual_report,
-    residuals,
     state_to_json_dict,
 )
 from .band import solve_heads
-from .network import Network, consumer_outflow, finite_numbers
+from .network import Network, consumer_outflow, finite_numbers, json_number
 from .structure import (
-    DEFAULT_IMAGE_TOL,
     EdgeDecomposition,
     pipe_positions,
     select_independent_edges,
@@ -69,6 +67,12 @@ class CompletionMethod(enum.Enum):
     DEMAND_DRIVEN = "demand_driven"
 
 
+#: Default relative tolerance of the energy-law test of observed flows.
+DEFAULT_IMAGE_TOL = 1e-9
+#: The sections of an observation set, the only keys of an observation document.
+_SECTIONS = ("heads", "flows", "demands")
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Known heads, flows and demands keyed by node/pipe id."""
@@ -78,7 +82,10 @@ class ObservationSet:
     demands: Mapping[str, float] = field(default_factory=dict)
 
     def validate(self, net: Network) -> None:
-        """Check that each id resolves (demands to consumers) and each value is a finite number."""
+        """Check that each section maps known ids (demands: consumer ids) to finite numbers."""
+        for section in _SECTIONS:
+            values, where = getattr(self, section), f"observation section {section!r}"
+            finite_numbers(values, values, where, InvalidObservationError)
         for nid in self.heads:
             if nid not in net.node_index:
                 raise InvalidObservationError(f"head observation at unknown node {nid!r}")
@@ -91,9 +98,6 @@ class ObservationSet:
                 raise InvalidObservationError(
                     f"demand observation at {nid!r}, which is not a consumer node"
                 )
-        for section in ("heads", "flows", "demands"):
-            values, where = getattr(self, section), f"observation section {section!r}"
-            finite_numbers(values, values, where, InvalidObservationError)
 
     def head_vector(self, net: Network) -> np.ndarray:
         return self._vector(self.heads, net.node_ids, "head")
@@ -118,22 +122,20 @@ class ObservationSet:
     def from_json_dict(cls, doc: Mapping) -> "ObservationSet":
         if not isinstance(doc, Mapping):
             raise FormatError("observation document must be a JSON object")
+        for key in doc:
+            if key not in _SECTIONS:
+                raise FormatError(f"unknown observation section {key!r}")
         def section(key: str) -> dict[str, float]:
             raw, where = doc.get(key, {}), f"observation section {key!r}"
-            if not isinstance(raw, Mapping):
-                raise FormatError(f"{where} must be an object")
+            numbers = finite_numbers(raw, raw, where, FormatError)  # first: raw must be a mapping
             for k in raw:
                 if not isinstance(k, str):
                     raise FormatError(f"non-string id {k!r} in {where}")
-            return dict(zip(raw, finite_numbers(raw, raw, where, FormatError)))
-        return cls(heads=section("heads"), flows=section("flows"), demands=section("demands"))
+            return dict(zip(raw, numbers))
+        return cls(*map(section, _SECTIONS))
 
     def to_json_dict(self) -> dict:
-        return {
-            "heads": dict(self.heads),
-            "flows": dict(self.flows),
-            "demands": dict(self.demands),
-        }
+        return {section: dict(getattr(self, section)) for section in _SECTIONS}
 
 
 #: Floor on ``|q|`` in the Newton slopes, where the head-loss derivative vanishes at zero flow.
@@ -151,14 +153,19 @@ class SolverOptions:
 
     def __post_init__(self):
         require_tolerance(self.tolerance)
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations!r}")
+        require_iterations(self.max_iterations)
 
 
 def require_tolerance(tol: float) -> None:
-    """Raise ``ValueError`` unless ``tol`` is a finite number >= 0."""
-    if not (math.isfinite(tol) and tol >= 0):
+    """Raise ``ValueError`` unless ``tol`` is a finite number >= 0 (:func:`json_number`'s rule)."""
+    if not 0 <= json_number(tol) < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol!r}")
+
+
+def require_iterations(n: int) -> None:
+    """Raise ``ValueError`` unless ``n`` is an integer >= 0 (:func:`operator.index`; no bool)."""
+    if isinstance(n, bool) or not hasattr(n, "__index__") or operator.index(n) < 0:
+        raise ValueError(f"max_iterations must be an integer >= 0, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -194,6 +201,14 @@ def _pipe_drops(
     """Head drop along every pipe, ``Br^T h_r + Bc^T h_c``."""
     h = _assemble_heads(net, reservoir_heads, consumer_heads)
     return h[net.tail_indices] - h[net.head_indices]
+
+
+def _one_per(values, n: int, what: str, per: str) -> np.ndarray:
+    """``values`` as a float vector; ``ValueError`` unless it holds one ``what`` per ``per``."""
+    vector = np.asarray(values, dtype=float)
+    if vector.shape != (n,):
+        raise ValueError(f"need one {what} per {per} ({n})")
+    return vector
 
 
 def _require_finite(what: str, values: np.ndarray) -> None:
@@ -250,20 +265,21 @@ def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theo
         loss[observed] = observed_head_loss(net, observed, flows)
     steps = tree_walk(net, forest, grounded)
     h = walk_heads(steps, heads, loss)
-    q = invert_head_loss(h[net.tail_indices] - h[net.head_indices], net.resistances)
+    drops = h[net.tail_indices] - h[net.head_indices]
+    q = invert_head_loss(drops, net.resistances)
     q[observed] = flows
-    d = demands_from_flows(net, q)
+    outflow = consumer_outflow(net, q)
+    d = -outflow
     # Losses finite one by one can overflow when summed along a path, and so
     # can head drops and demands: no NaN state.
     if not (np.isfinite(h).all() and np.isfinite(q).all() and np.isfinite(d).all()):
         raise ObservationOverflowError("observations overflow the completed state")
     if observed.size and tol is not None:
-        tails, ends, loss = net.tail_indices[observed], net.head_indices[observed], loss[observed]
-        _check("flows", h[tails] - h[ends] - loss, loss - (heads[tails] - heads[ends]), tol)
+        _check_flows(net, h, observed, loss[observed], tol)
     if steps:
         _warn_negative_heads(np.delete(h, grounded))
-    state = HydraulicState(h, q, d)
-    return SolveReport(state, 0, residuals(net, state), theorem)
+    report = residual_report(net, drops - head_loss(q, net.resistances), d + outflow)
+    return SolveReport(HydraulicState(h, q, d), 0, report, theorem)
 
 
 def _check(observed: str, mismatch: np.ndarray, reference: np.ndarray, tol: float) -> None:
@@ -273,6 +289,15 @@ def _check(observed: str, mismatch: np.ndarray, reference: np.ndarray, tol: floa
         raise InconsistentObservationsError(residual, observed)
 
 
+def _check_flows(net: Network, h: np.ndarray, pipes: np.ndarray, loss: np.ndarray, tol: float):
+    """The one energy-law test of observed flows: raise :class:`InconsistentObservationsError`
+    unless the head drops of ``h`` on ``pipes`` match ``loss`` within ``tol`` of the largest
+    ``|loss - Br^T h_r|``, with the reservoir heads ``h_r`` read from ``h``."""
+    tails, ends = net.tail_indices[pipes], net.head_indices[pipes]
+    reservoir = _assemble_heads(net, h[net.reservoir_indices], 0.0)
+    _check("flows", h[tails] - h[ends] - loss, loss - (reservoir[tails] - reservoir[ends]), tol)
+
+
 def check_observations(net: Network, state: HydraulicState, obs: ObservationSet, tol: float):
     """Raise :class:`InconsistentObservationsError` unless flows obey the energy law on the heads of
     ``state``, and heads, then demands, equal its own within ``tol`` of the largest observed."""
@@ -280,10 +305,7 @@ def check_observations(net: Network, state: HydraulicState, obs: ObservationSet,
         pipes = np.array([net.pipe_index[pid] for pid in obs.flows], dtype=np.intp)
         order = np.argsort(pipes)  # canonical order: an overflow names the first pipe
         pipes, flows = pipes[order], np.array(list(obs.flows.values()), dtype=float)[order]
-        loss = observed_head_loss(net, pipes, flows)
-        h, tails, ends = state.heads, net.tail_indices[pipes], net.head_indices[pipes]
-        reservoir = _assemble_heads(net, h[net.reservoir_indices], 0.0)
-        _check("flows", h[tails] - h[ends] - loss, loss - (reservoir[tails] - reservoir[ends]), tol)
+        _check_flows(net, state.heads, pipes, observed_head_loss(net, pipes, flows), tol)
     completed = {"heads": state.heads, "demands": _assemble_heads(net, 0.0, state.demands)}
     for what, observed in (("heads", obs.heads), ("demands", obs.demands)):
         values = np.array(list(observed.values()), dtype=float)
@@ -296,9 +318,7 @@ def complete_from_heads(net: Network, heads: np.ndarray) -> SolveReport:
     Closed form: each pipe flow inverts its head drop, each demand is the net
     inflow those flows deliver.
     """
-    h = np.asarray(heads, dtype=float)
-    if h.shape != (net.n_nodes,):
-        raise ValueError(f"head vector must have one entry per node ({net.n_nodes})")
+    h = _one_per(heads, net.n_nodes, "head", "node")
     everything, none = np.arange(net.n_nodes), np.arange(0)
     return _complete_on_forest(net, h, everything, (), none, none, 0.0, CompletionMethod.ALL_HEADS)
 
@@ -313,19 +333,17 @@ def complete_from_reservoir_heads_and_flows(
 
     The energy law pins down what the consumer heads must produce on every
     pipe; on cyclic networks that system is overdetermined, so arbitrary flow
-    vectors may admit no solution. Raises
+    vectors may admit no solution. They admit one exactly when
+    ``f(q) - Br^T h_r`` lies in the image of ``Bc^T`` (to ``tol`` relative to its
+    largest entry, or to 1). Raises
     :class:`InconsistentObservationsError` when a pipe outside the forest
     breaks the energy law, :class:`ObservationOverflowError` when the
     head loss of an observed flow, or a head summed from such losses,
     overflows, and ``ValueError`` when ``tol`` is not finite and nonnegative.
     """
     require_tolerance(tol)
-    h_r = np.asarray(reservoir_heads, dtype=float)
-    q = np.asarray(flows, dtype=float)
-    if h_r.shape != (net.n_reservoirs,):
-        raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
-    if q.shape != (net.n_pipes,):
-        raise ValueError(f"need one flow per pipe ({net.n_pipes})")
+    h_r = _one_per(reservoir_heads, net.n_reservoirs, "reservoir head", "reservoir")
+    q = _one_per(flows, net.n_pipes, "flow", "pipe")
     return _complete_on_forest(
         net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, None,
         np.arange(net.n_pipes), q, tol, CompletionMethod.HEADS_AND_FLOWS,
@@ -346,18 +364,19 @@ def complete_from_forest_flows(
     forest flows are not checked: the heads are walked from them, so they
     obey the energy law by construction. Raises
     :class:`DecompositionMismatchError` unless the forest spans the consumers,
-    :class:`InvalidObservationError` naming the first forest pipe whose flow is
-    not a finite number and :class:`ObservationOverflowError` when the head
-    loss of a forest flow, or a head summed from such losses, overflows.
+    :class:`InvalidObservationError` when ``forest_flows`` is not a mapping or
+    naming the first forest pipe whose flow is not a finite number, and
+    :class:`ObservationOverflowError` when the head loss of a forest flow, or a
+    head summed from such losses, overflows.
     """
+    if not isinstance(forest_flows, Mapping):
+        raise InvalidObservationError("observation section 'flows' must be a mapping")
     dec = decomposition if decomposition is not None else select_independent_edges(net)
     if set(forest_flows) != set(dec.independent):
         raise DecompositionMismatchError(
             "forest flows must be keyed exactly by the decomposition's independent edges"
         )
-    h_r = np.asarray(reservoir_heads, dtype=float)
-    if h_r.shape != (net.n_reservoirs,):
-        raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
+    h_r = _one_per(reservoir_heads, net.n_reservoirs, "reservoir head", "reservoir")
     return _forest_flows_route(net, h_r, dec.independent, forest_flows)
 
 
@@ -436,12 +455,8 @@ def solve_reservoir_heads_demands(
     iteration budget runs out or no damped step decreases the residual.
     """
     opts = options if options is not None else SolverOptions()
-    h_r = np.asarray(reservoir_heads, dtype=float)
-    d = np.asarray(demands, dtype=float)
-    if h_r.shape != (net.n_reservoirs,):
-        raise ValueError(f"need one reservoir head per reservoir ({net.n_reservoirs})")
-    if d.shape != (net.n_consumers,):
-        raise ValueError(f"need one demand per consumer ({net.n_consumers})")
+    h_r = _one_per(reservoir_heads, net.n_reservoirs, "reservoir head", "reservoir")
+    d = _one_per(demands, net.n_consumers, "demand", "consumer")
     _require_finite("reservoir heads", h_r)
     _require_finite("demands", d)
 

@@ -101,8 +101,11 @@ def json_number(value) -> float:
 
 
 def finite_numbers(values: Mapping, keys: Collection, where: str, error: type) -> list[float]:
-    """``[json_number(values[k]) for k in keys]``; raises ``error`` naming the first bad one."""
-    given = [values[k] for k in keys]
+    """``[json_number(values[k]) for k in keys]``; raises ``error`` naming the first bad one, or
+    ``where`` when ``values`` is not a mapping."""
+    if not isinstance(values, Mapping):
+        raise error(f"{where} must be a mapping")
+    given = list(values.values()) if keys is values else [values[k] for k in keys]
     numbers = given if set(map(type, given)) == {float} else list(map(json_number, given))
     if not all(map(math.isfinite, numbers)):
         key = next(k for k, x in zip(keys, numbers) if not math.isfinite(x))

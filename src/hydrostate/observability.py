@@ -11,13 +11,14 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .completion import (
-    CompletionMethod, ObservationSet, SolveReport, SolverOptions, _forest_flows_route,
-    check_observations, complete_from_heads, complete_from_reservoir_heads_and_flows,
-    require_tolerance, solve_reservoir_heads_demands,
+    DEFAULT_IMAGE_TOL, CompletionMethod, ObservationSet, SolveReport, SolverOptions,
+    _forest_flows_route, check_observations, complete_from_heads,
+    complete_from_reservoir_heads_and_flows, require_iterations, require_tolerance,
+    solve_reservoir_heads_demands,
 )
 from .errors import NotCoveredError
 from .network import Network
-from .structure import DEFAULT_IMAGE_TOL, greedy_independent_columns
+from .structure import greedy_independent_columns
 
 
 class Verdict(enum.Enum):
@@ -118,12 +119,11 @@ def complete(
 
     ``tol`` (default ``DEFAULT_IMAGE_TOL``, or the solver's when demand-driven) serves both.
     Raises :class:`NotCoveredError` when no route applies, besides the errors of the route, and
-    ``ValueError`` when ``tol`` is not finite and nonnegative or ``max_iterations`` is negative.
+    ``ValueError`` when ``tol`` is not a finite number >= 0 or ``max_iterations`` an integer >= 0.
     """
     if tol is not None:
         require_tolerance(tol)
-    if max_iterations < 0:
-        raise ValueError(f"max_iterations must be >= 0, got {max_iterations!r}")
+    require_iterations(max_iterations)
     forest = None
     if theorem is None:
         verdict = classify_observation_pattern(net, obs)  # validates obs

@@ -22,9 +22,6 @@ from .errors import DecompositionMismatchError, UnknownNodeError
 from .band import consumer_ends
 from .network import Network, grounded_forest, orient_forest
 
-#: Default relative tolerance of the image-membership test.
-DEFAULT_IMAGE_TOL = 1e-9
-
 
 def __getattr__(name: str):
     """``integer_determinant`` of :mod:`hydrostate.exact`, which loads only when it is asked for."""
@@ -195,30 +192,3 @@ def walk_heads(steps, heads: np.ndarray, loss: np.ndarray) -> np.ndarray:
         h[child] = h[parent] - sign * loss[pipe]
     return np.array(h)
 
-
-@dataclass(frozen=True)
-class ImageMembership:
-    """Outcome of testing whether a pipe-space vector is reachable from consumer heads."""
-
-    member: bool
-    consumer_heads: np.ndarray | None
-    residual: float
-
-
-def image_membership(net: Network, target: np.ndarray) -> ImageMembership:
-    """Tree-walk test of ``target in range(B_consumers^T)``.
-
-    The target on the canonical forest fixes the consumer heads, and every
-    other pipe must agree with them. Membership is decided on the relative
-    infinity-norm residual against :data:`DEFAULT_IMAGE_TOL`; a member result
-    carries the consumer heads that realize the target.
-    """
-    target = np.asarray(target, dtype=float)
-    if target.shape != (net.n_pipes,):
-        raise ValueError(f"target must have one entry per pipe ({net.n_pipes})")
-    h = walk_heads(tree_walk(net), np.zeros(net.n_nodes), target)
-    residual = float(np.max(np.abs(h[net.tail_indices] - h[net.head_indices] - target)))
-    scale = max(1.0, float(np.max(np.abs(target), initial=0.0)))
-    if residual / scale <= DEFAULT_IMAGE_TOL:
-        return ImageMembership(True, h[net.consumer_indices], residual)
-    return ImageMembership(False, None, residual)

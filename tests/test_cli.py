@@ -687,6 +687,26 @@ class TestStrictParsing:
         assert captured.out == ""
         assert f"duplicate key {key!r}" in captured.err
 
+    @pytest.mark.parametrize("key", ["demand", "comment"])
+    @pytest.mark.parametrize("command", ["solve", "analyze"])
+    def test_unknown_observation_section(self, capsys, tmp_path, command, key):
+        # A misspelt "demands" would otherwise leave the demands unobserved, and a
+        # comment would pass unread.
+        net = random_connected_wds(GeneratorConfig(seed=3, n_consumers=4, extra_edges=2))
+        truth = random_ground_truth_state(net, seed=1)
+        heads = {nid: float(truth.heads[net.node_index[nid]]) for nid in net.reservoir_ids}
+        demands = dict(zip(net.consumer_ids, truth.demands.tolist()))
+        doc = {"heads": heads, "demand": demands} if key == "demand" else {
+            "heads": heads, "demands": demands, "comment": "x"}
+        net_path = write_json(tmp_path / "net.json", network_to_json_dict(net))
+        obs = write_json(tmp_path / "obs.json", doc)
+        flag = {"analyze": "--pattern", "solve": "--obs"}[command]
+        code = run_cli([command, net_path, flag, obs])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert f"unknown observation section {key!r}" in captured.err
+
 
 class TestCheck:
     def test_ground_truth_passes(self, capsys, tmp_path, triangle_file, triangle_net):

@@ -25,6 +25,7 @@ from hydrostate import (
     SolverOptions,
     UnknownNodeError,
     build_network,
+    classify_observation_pattern,
     complete,
     complete_from_forest_flows,
     complete_from_heads,
@@ -136,7 +137,7 @@ class TestCompleteFromReservoirHeadsAndFlows:
 
 
 def test_solver_options_reject_negative_iterations():
-    with pytest.raises(ValueError, match="max_iterations must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="max_iterations must be an integer >= 0, got -1"):
         SolverOptions(max_iterations=-1)
     assert SolverOptions(max_iterations=0).max_iterations == 0
 
@@ -146,9 +147,54 @@ def test_complete_rejects_negative_max_iterations(triangle_net):
     obs = ObservationSet(heads={"R": float(truth.heads[0])}, demands={"c1": 0.1, "c2": 0.2})
     # Every route, the linear ones included, rejects it before solving.
     for theorem in (None, CompletionMethod.DEMAND_DRIVEN, CompletionMethod.ALL_HEADS):
-        with pytest.raises(ValueError, match="max_iterations must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="max_iterations must be an integer >= 0, got -1"):
             complete(triangle_net, obs, theorem, max_iterations=-1)
     assert complete(triangle_net, obs, max_iterations=50).theorem is CompletionMethod.DEMAND_DRIVEN
+
+
+#: Values given as a tolerance or an iteration count; of them only 1.5 is a tolerance.
+NOT_COUNTS = {"True": True, "str": "1", "None": None, "nan": float("nan"), "1.5": 1.5, "-1": -1}
+
+
+@pytest.mark.parametrize("value", NOT_COUNTS.values(), ids=NOT_COUNTS.keys())
+def test_tolerance_and_iteration_count_follow_the_number_rule(value):
+    net = random_connected_wds(GeneratorConfig(seed=3, n_consumers=4, extra_edges=2))
+    truth = random_ground_truth_state(net, seed=1)
+    obs = ObservationSet(heads=dict(zip(net.node_ids, truth.heads.tolist())))
+    iterations = re.escape(f"max_iterations must be an integer >= 0, got {value!r}")
+    with pytest.raises(ValueError, match=iterations):
+        SolverOptions(max_iterations=value)
+    with pytest.raises(ValueError, match=iterations):
+        complete(net, obs, max_iterations=value)
+
+    h_r = truth.reservoir_heads(net)
+    calls = [lambda: SolverOptions(tolerance=value),
+             lambda: complete_from_reservoir_heads_and_flows(net, h_r, truth.flows, value)]
+    if value is not None:  # complete() reads None as its default tolerance
+        calls.append(lambda: complete(net, obs, tol=value))
+    tolerance = re.escape(f"tolerance must be finite and >= 0, got {value!r}")
+    for call in calls:
+        if value == 1.5:
+            call()
+        else:
+            with pytest.raises(ValueError, match=tolerance):
+                call()
+
+
+def test_a_section_that_is_not_a_mapping_is_named():
+    net = random_connected_wds(GeneratorConfig(seed=3, n_consumers=4, extra_edges=2))
+    dec = select_independent_edges(net)
+    h_r = np.full(net.n_reservoirs, 100.0)
+    calls = {
+        "heads": lambda: complete(net, ObservationSet(heads=list(net.node_ids))),
+        "flows": lambda: classify_observation_pattern(net, ObservationSet(flows=list(net.pipe_ids))),
+        "demands": lambda: complete(net, ObservationSet(demands=None)),
+        "forest flows": lambda: complete_from_forest_flows(net, h_r, list(dec.independent), dec),
+    }
+    for what, call in calls.items():
+        message = f"observation section '{what.split()[-1]}' must be a mapping"
+        with pytest.raises(InvalidObservationError, match=message):
+            call()
 
 
 class TestCompleteFromForestFlows:

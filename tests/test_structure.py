@@ -1,4 +1,9 @@
-"""Tests for ranks, forest/chord decomposition, tree walk, cycle space and image membership."""
+"""Tests for ranks, forest/chord decomposition, tree walk, cycle space and image membership.
+
+Image membership of a pipe-space target ``t`` is tested through
+:func:`complete_from_reservoir_heads_and_flows`: the flows whose head losses are
+``t + Br^T h_r`` complete exactly when ``t`` lies in the image of ``Bc^T``.
+"""
 
 from collections import deque
 from unittest import mock
@@ -13,24 +18,25 @@ from hydrostate import (
     EdgeDecomposition,
     EmptySubsetError,
     GeneratorConfig,
+    InconsistentObservationsError,
     PipeParams,
     UnknownNodeError,
     build_network,
     complete_from_forest_flows,
     complete_from_reservoir_heads_and_flows,
     cycle_space_basis,
-    image_membership,
     incidence_matrix,
+    invert_head_loss,
     params_for_resistance,
     random_connected_wds,
     select_independent_edges,
     submatrix_rank,
 )
 from hydrostate import network, structure
+from hydrostate.completion import DEFAULT_IMAGE_TOL
 from hydrostate.exact import integer_determinant, integer_rank
 from hydrostate.network import orient_forest
 from hydrostate.structure import (
-    DEFAULT_IMAGE_TOL,
     greedy_independent_columns,
     pipe_positions,
     tree_walk,
@@ -246,40 +252,46 @@ class TestCycleSpaceBasis:
         assert basis.dimension == len(chords) and not np.any(B_vc @ np.array(basis.vectors).T)
 
 
+def complete_to_target(net, target, reservoir_heads=None):
+    """The heads-and-flows completion from ``reservoir_heads`` (default 0) and the flows whose
+    head losses are ``target + Br^T h_r``; it raises unless ``target`` is in the image of Bc^T."""
+    h_r = np.zeros(net.n_reservoirs) if reservoir_heads is None else reservoir_heads
+    h = np.zeros(net.n_nodes)
+    h[net.reservoir_indices] = h_r
+    loss = target + h[net.tail_indices] - h[net.head_indices]
+    q = invert_head_loss(loss, net.resistances)
+    return complete_from_reservoir_heads_and_flows(net, h_r, q)
+
+
+@pytest.mark.filterwarnings("ignore:completion produced negative consumer heads")
 class TestImageMembership:
     def test_tree_is_always_member(self, path_net):
         rng = np.random.default_rng(5)
         for _ in range(10):
             target = rng.normal(size=path_net.n_pipes)
-            result = image_membership(path_net, target)
-            assert result.member
-            assert result.residual <= 1e-9
+            report = complete_to_target(path_net, target, np.array([100.0]))
+            assert report.final_residual.energy_inf_norm <= 1e-9
 
     def test_triangle_incompatible_target(self, triangle_net):
-        result = image_membership(triangle_net, np.array([1.0, -1.0, 1.0]))
-        assert not result.member
-        assert result.consumer_heads is None
-        assert result.residual > 1e-3
+        with pytest.raises(InconsistentObservationsError) as info:
+            complete_to_target(triangle_net, np.array([1.0, -1.0, 1.0]))
+        assert info.value.residual > 1e-3
 
     def test_triangle_forward_constructed_target(self, triangle_net):
         target = np.array([-5.0, -3.0, 2.0])  # B_consumers^T @ (5, 3)
-        result = image_membership(triangle_net, target)
-        assert result.member
-        assert result.consumer_heads == pytest.approx([5.0, 3.0], abs=1e-12)
-        assert result.residual <= 1e-12
+        report = complete_to_target(triangle_net, target)
+        assert report.state.consumer_heads(triangle_net) == pytest.approx([5.0, 3.0], abs=1e-12)
+        assert report.final_residual.energy_inf_norm <= 1e-12
 
     def test_recovers_heads_on_random_networks(self):
         rng = np.random.default_rng(17)
         for net in make_random_networks(20, seed0=51):
             B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids).entries.astype(float)
             h = rng.uniform(-100.0, 100.0, net.n_consumers)
-            result = image_membership(net, B_vc.T @ h)
-            assert result.member
-            assert np.max(np.abs(result.consumer_heads - h)) <= 1e-10
-
-    def test_bad_target_length(self, triangle_net):
-        with pytest.raises(ValueError):
-            image_membership(triangle_net, np.zeros(5))
+            h_r = rng.uniform(50.0, 150.0, net.n_reservoirs)
+            report = complete_to_target(net, B_vc.T @ h, h_r)
+            assert np.max(np.abs(report.state.consumer_heads(net) - h)) <= 1e-10
+            assert np.array_equal(report.state.reservoir_heads(net), h_r)
 
 
 class TestPatternHelpers:
@@ -447,8 +459,8 @@ def dense_forest_heads(net, forest, reservoir_heads, loss):
 def lstsq_membership(net, target, tol=DEFAULT_IMAGE_TOL):
     """Oracle membership test: dense least squares of ``B_consumers^T h = target``.
 
-    Returns ``(member, consumer heads)``, deciding on the relative
-    infinity-norm residual as :func:`image_membership` does.
+    Returns ``(member, consumer heads)``, deciding on the relative infinity-norm
+    residual as :func:`complete_from_reservoir_heads_and_flows` does.
     """
     A = incidence_matrix(net).restrict(nodes=net.consumer_ids).entries.T.astype(float)
     heads, *_ = np.linalg.lstsq(A, target, rcond=None)
@@ -470,6 +482,7 @@ def scanned_forest(net, pipe_ids):
 
 
 class TestTreeWalk:
+    @pytest.mark.filterwarnings("ignore:completion produced negative consumer heads")
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
     def test_matches_dense_oracles(self, data):
@@ -490,17 +503,17 @@ class TestTreeWalk:
         A = incidence_matrix(net).restrict(nodes=net.consumer_ids).entries.T.astype(float)
         h_c = rng.uniform(-100.0, 100.0, net.n_consumers)
         target = A @ h_c
-        result = image_membership(net, target)
+        report = complete_to_target(net, target, h_r)
         member, oracle_heads = lstsq_membership(net, target)
-        assert result.member and member
-        assert_close(result.consumer_heads, oracle_heads, 1e-9)
+        assert member
+        assert_close(report.state.consumer_heads(net), oracle_heads, 1e-9)
         chords = select_independent_edges(net).dependent
         if chords:
             chord = chords[data.draw(st.integers(0, len(chords) - 1))]
             target[net.pipe_index[chord]] += 1e-3
-            result = image_membership(net, target)
-            assert not result.member and not lstsq_membership(net, target)[0]
-            assert result.consumer_heads is None
+            assert not lstsq_membership(net, target)[0]
+            with pytest.raises(InconsistentObservationsError):
+                complete_to_target(net, target, h_r)
 
     def test_orientation_and_order(self, path_net):
         # R -> c1 -> c2 along the canonical orientation; c1 is reached first.
@@ -613,13 +626,9 @@ class TestGroundedTree:
         assert counts == {"scan": 1, "orient": 1}
         assert np.array_equal(first.state.heads, second.state.heads)
 
-        # The forest route on the canonical forest, membership and the decomposition
-        # read the same cache.
+        # The forest route on the canonical forest and the decomposition read the same cache.
         dec = select_independent_edges(net)
         complete_from_forest_flows(
             net, h_r, {pid: truth.flows[net.pipe_index[pid]] for pid in dec.independent}, dec
         )
-        h = truth.heads.copy()
-        h[net.reservoir_indices] = 0.0
-        assert image_membership(net, h[net.tail_indices] - h[net.head_indices]).member
         assert counts == {"scan": 1, "orient": 1}
