@@ -5,8 +5,9 @@ Four routes recover a full physically correct state:
 * all heads known: closed form, flows then demands;
 * reservoir heads plus all flows: a tree walk with a consistency
   test, since cyclic flow patterns can contradict the energy law;
-* reservoir heads plus flows on a forest: a walk along the tree for the
-  consumer heads, then chord flows and demands in closed form;
+* observed heads plus flows on a forest reaching every other node from
+  them: a walk along the forest for the other heads, then chord flows and
+  demands in closed form;
 * reservoir heads plus consumer demands (the classic simulator input):
   damped Newton iteration on the coupled energy/mass system, whose solution
   exists and is unique. Each step eliminates the flows and solves only the
@@ -204,7 +205,13 @@ def _pipe_drops(
 
 
 def _one_per(values, n: int, what: str, per: str) -> np.ndarray:
-    """``values`` as a float vector; ``ValueError`` unless it holds one ``what`` per ``per``."""
+    """``values`` as a float vector; ``ValueError`` unless it holds one ``what`` per ``per``.
+
+    Unless ``values`` is an ndarray of a real dtype, each entry is read by :func:`json_number`,
+    so a non-number becomes NaN, which the routes' finiteness checks reject.
+    """
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
+        values = np.frompyfunc(json_number, 1, 1)(np.asarray(values, dtype=object))
     vector = np.asarray(values, dtype=float)
     if vector.shape != (n,):
         raise ValueError(f"need one {what} per {per} ({n})")
@@ -377,18 +384,20 @@ def complete_from_forest_flows(
             "forest flows must be keyed exactly by the decomposition's independent edges"
         )
     h_r = _one_per(reservoir_heads, net.n_reservoirs, "reservoir head", "reservoir")
-    return _forest_flows_route(net, h_r, dec.independent, forest_flows)
+    return _forest_flows_route(net, net.reservoir_indices, h_r, dec.independent, forest_flows)
 
 
 def _forest_flows_route(
-    net: Network, h_r: np.ndarray, forest: Sequence[str], flows: Mapping[str, float]
+    net: Network, grounded: Sequence[int], heads: Sequence[float], forest: Sequence[str],
+    flows: Mapping[str, float],
 ) -> SolveReport:
-    """The forest-flows route on the pipes ``forest``; ``flows`` may hold other pipes too."""
+    """The forest route from the ``heads`` at ``grounded``; ``flows`` may hold other pipes too."""
     q_forest = finite_numbers(flows, forest, "observation section 'flows'", InvalidObservationError)
     positions = np.array(pipe_positions(net, forest), dtype=np.intp)
+    h = np.zeros(net.n_nodes)
+    h[grounded] = heads
     return _complete_on_forest(
-        net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, forest,
-        positions, np.array(q_forest), None, CompletionMethod.FOREST_FLOWS,
+        net, h, grounded, forest, positions, np.array(q_forest), None, CompletionMethod.FOREST_FLOWS
     )
 
 

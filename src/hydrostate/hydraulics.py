@@ -77,12 +77,15 @@ def state_to_json_dict(net: Network, state: HydraulicState) -> dict:
 def state_from_json_dict(net: Network, doc: Mapping) -> HydraulicState:
     """Parse a full state document; every node, pipe and consumer must be covered.
 
-    Raises :class:`FormatError` on a missing entry, on an id that the section
-    does not index (naming the first) and on a value that is not a finite
-    JSON number.
+    Raises :class:`FormatError` on a missing entry, on a key other than the
+    three sections and on an id that the section does not index (naming the
+    first of either), and on a value that is not a finite JSON number.
     """
     if not isinstance(doc, Mapping):
         raise FormatError("state document must be a JSON object")
+    for key in doc:
+        if key not in ("heads", "flows", "demands"):
+            raise FormatError(f"unknown state section {key!r}")
     columns = []
     for section, ids in (
         ("heads", net.node_ids), ("flows", net.pipe_ids), ("demands", net.consumer_ids)

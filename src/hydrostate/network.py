@@ -315,17 +315,24 @@ def network_from_columns(
 
     Pipe ``j`` is ``pipe_ids[j]`` from node id ``tails[j]`` to node id
     ``heads[j]``, with ``lengths[j]``, ``diameters[j]`` and ``roughnesses[j]``.
-    Raises a distinct :class:`NetworkValidationError` subclass per defect:
-    duplicate ids, unresolved endpoints, self-loops, pipe parameters that are
-    not finite positive numbers (:func:`json_number`), missing reservoirs or
-    consumers, disconnectedness, and a resistance coefficient that overflows or
-    underflows (:class:`NonpositiveParameterError`, computed here once and kept
-    as :attr:`Network.resistances`). Each check is one test over a whole column;
+    Raises :class:`FormatError`, as the JSON reader does, naming the first node
+    id, then pipe id, that is not a string. Then it raises a distinct
+    :class:`NetworkValidationError` subclass per defect: duplicate ids,
+    unresolved endpoints, self-loops, pipe parameters that are not finite
+    positive numbers (:func:`json_number`), missing reservoirs or consumers,
+    disconnectedness, and a resistance coefficient that overflows or underflows
+    (:class:`NonpositiveParameterError`, computed here once and kept as
+    :attr:`Network.resistances`). Each of these checks is one test over a whole column;
     only when one fails does a scalar pass look for the earliest defect in input
     order: nodes before pipes, and each pipe's checks in the order listed above.
     The resistance check names the first pipe.
     """
     node_ids, roles, pipe_ids = tuple(node_ids), tuple(roles), tuple(pipe_ids)
+    for what, ids in (("node", node_ids), ("pipe", pipe_ids)):
+        if set(map(type, ids)) != {str}:  # str subclasses pass the scan below
+            bad = [i for i in ids if not isinstance(i, str)]
+            if bad:
+                raise FormatError(f"{what} id must be a string, got {bad[0]!r}")
     fields = (lengths, diameters, roughnesses)
     if len(roles) != len(node_ids) or any(len(c) != len(pipe_ids) for c in (tails, heads, *fields)):
         raise ValueError("every column needs one entry per node or per pipe")
@@ -424,19 +431,21 @@ def join_sets(parent: list[int], a: int, b: int) -> bool:
     return True
 
 
-def grounded_forest(net: Network, positions: Iterable[int]) -> list[int]:
+def grounded_forest(
+    net: Network, positions: Iterable[int], grounded: Sequence[int] | None = None
+) -> list[int]:
     """The pipe positions of ``positions`` that join two components, in the order given.
 
-    One union-find pass over the graph with every reservoir grounded into one
-    node. A pipe's consumer-row column is independent of the columns kept
-    before it exactly when the pipe joins two components, so this is the
-    greedy rank scan without elimination.
+    One union-find pass over the graph with the ``grounded`` nodes (default: the
+    reservoirs) merged into one node. A pipe's column in the other nodes' rows is
+    independent of the columns kept before it exactly when the pipe joins two
+    components, so this is the greedy rank scan without elimination.
     """
     tails, heads = net.tail_indices.tolist(), net.head_indices.tolist()
     parent = list(range(net.n_nodes))
-    reservoirs = net.reservoir_indices.tolist()
-    for r in reservoirs:
-        parent[r] = reservoirs[0]
+    ground = np.asarray(net.reservoir_indices if grounded is None else grounded).tolist()
+    for r in ground:
+        parent[r] = ground[0]
     return [j for j in positions if join_sets(parent, tails[j], heads[j])]
 
 
@@ -514,12 +523,16 @@ def network_from_json_dict(doc: Mapping) -> Network:
     """Parse the network JSON schema and validate the result.
 
     ``nodes`` and ``pipes`` must be arrays, ids and endpoints JSON strings and
-    the three parameters JSON numbers; anything else raises
+    the three parameters JSON numbers; anything else, and a key that the schema
+    does not name (in the document, a node entry or a pipe entry), raises
     :class:`FormatError`. The entries go straight into columns for
     :func:`network_from_columns`.
     """
     if not isinstance(doc, Mapping):
         raise FormatError("network document must be a JSON object")
+    for key in doc:
+        if key not in ("nodes", "pipes"):
+            raise FormatError(f"unknown network document key {key!r}")
     try:
         raw_nodes = doc["nodes"]
         raw_pipes = doc["pipes"]
@@ -533,6 +546,7 @@ def network_from_json_dict(doc: Mapping) -> Network:
 #: Pipe entry keys, in the order `_pipe_columns` reads and checks them.
 _PIPE_IDS = ("id", "from", "to")
 _PIPE_NUMBERS = ("length_m", "diameter_m", "roughness")
+_PIPE_KEYS = _PIPE_IDS + _PIPE_NUMBERS
 
 
 def _json_array(raw, key: str) -> list | tuple:
@@ -542,6 +556,12 @@ def _json_array(raw, key: str) -> list | tuple:
     return raw
 
 
+def _raise_unknown_key(entry: Mapping, known: tuple[str, ...], what: str) -> None:
+    """Raise :class:`FormatError` naming the first key of ``entry`` that is not in ``known``."""
+    key = next(k for k in entry if k not in known)
+    raise FormatError(f"malformed {what} entry: {entry!r} (unknown key {key!r})")
+
+
 def _node_columns(entries: Sequence) -> tuple[list, list]:
     ids, roles = [], []
     for entry in entries:
@@ -549,6 +569,8 @@ def _node_columns(entries: Sequence) -> tuple[list, list]:
             nid, role = entry["id"], NodeRole.parse(entry["role"])
         except (KeyError, TypeError):
             raise FormatError(f"malformed node entry: {entry!r}") from None
+        if len(entry) > 2:  # both keys were found, so another one is there
+            _raise_unknown_key(entry, ("id", "role"), "node")
         if not isinstance(nid, str):
             raise FormatError(f"malformed node entry: {entry!r} (id must be a string)")
         ids.append(nid)
@@ -566,6 +588,8 @@ def _pipe_columns(entries: Sequence) -> list:
             numbers = entry["length_m"], entry["diameter_m"], entry["roughness"]
         except (KeyError, TypeError):
             raise FormatError(f"malformed pipe entry: {entry!r}") from None
+        if len(entry) > len(_PIPE_KEYS):  # every key was found, so another one is there
+            _raise_unknown_key(entry, _PIPE_KEYS, "pipe")
         for column, key, value in zip(strings, _PIPE_IDS, values):
             if not isinstance(value, str):
                 raise FormatError(f"malformed pipe entry: {entry!r} ({key} must be a string)")

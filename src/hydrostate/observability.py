@@ -50,19 +50,21 @@ class ObservabilityVerdict:
 def classify_observation_pattern(net: Network, pattern: ObservationSet) -> ObservabilityVerdict:
     """Decide which completion guarantee applies to an observation pattern.
 
-    Fixed first-match order:
+    Fixed first-match order, with K the nodes whose head is observed (any role):
 
     1. heads everywhere -> unique flows and demands;
     2. reservoir heads and all consumer demands -> unique heads and flows;
-    3. reservoir heads and observed-flow columns of full consumer rank ->
-       unique completion from any independent flow subset;
-    4. reservoir heads with rank-deficient observed flows -> not determined
-       by the flow route;
+    3. observed-flow columns of full rank in the rows outside K, ``n_nodes - |K|``,
+       that is, a forest of the graph with K merged into one node -> unique
+       completion by walking that forest from the observed heads;
+    4. reservoir heads with observed flows of lower rank -> not determined by
+       the flow route;
     5. anything else -> no covered guarantee, no claim either way.
+
+    ``flow_rank`` and ``required_rank`` count relative to K, and
+    ``grounded_heads`` lists K's ids in canonical node order.
     """
     pattern.validate(net)  # every observed id is known, so counts tell coverage
-    n_c = net.n_consumers
-
     if len(pattern.heads) == net.n_nodes:
         return ObservabilityVerdict(
             Verdict.DETERMINED_ALL_HEADS,
@@ -70,31 +72,30 @@ def classify_observation_pattern(net: Network, pattern: ObservationSet) -> Obser
         )
 
     missing = [nid for nid in net.reservoir_ids if nid not in pattern.heads]
-    if not missing:
-        if len(pattern.demands) == n_c:
-            return ObservabilityVerdict(
-                Verdict.DETERMINED_DEMAND_DRIVEN,
-                "reservoir heads and all consumer demands determine the state uniquely",
-            )
+    if not missing and len(pattern.demands) == net.n_consumers:
+        return ObservabilityVerdict(
+            Verdict.DETERMINED_DEMAND_DRIVEN,
+            "reservoir heads and all consumer demands determine the state uniquely",
+        )
 
-        independent = greedy_independent_columns(net, pattern.flows)
-        rank = len(independent)
-        if rank == n_c:
-            return ObservabilityVerdict(
-                Verdict.DETERMINED_FOREST_FLOWS,
-                "the observed flows span a forest reaching every consumer; "
-                "together with the reservoir heads they determine the state uniquely",
-                detail={
-                    "flow_rank": rank,
-                    "required_rank": n_c,
-                    "independent_flows": list(independent),
-                },
-            )
+    grounded = sorted(map(net.node_index.__getitem__, pattern.heads))  # K, canonical order
+    independent = greedy_independent_columns(net, pattern.flows, grounded)
+    rank, required = len(independent), net.n_nodes - len(grounded)
+    ids = [net.node_ids[k] for k in grounded]
+    detail = {"flow_rank": rank, "required_rank": required, "grounded_heads": ids}
+    if rank == required:
+        return ObservabilityVerdict(
+            Verdict.DETERMINED_FOREST_FLOWS,
+            "the observed flows span a forest reaching every other node; "
+            "together with the observed heads they determine the state uniquely",
+            detail={**detail, "independent_flows": list(independent)},
+        )
+    if not missing:
         return ObservabilityVerdict(
             Verdict.UNDETERMINED_RANK_DEFICIENT,
             "the observed flows do not reach every consumer independently; "
             "the remaining state is not determined by the flow route",
-            detail={"flow_rank": rank, "required_rank": n_c},
+            detail=detail,
         )
 
     return ObservabilityVerdict(
@@ -112,14 +113,16 @@ _ROUTES = {
 
 
 def complete(
-    net: Network, obs: ObservationSet, theorem: CompletionMethod | None = None,
+    net: Network, obs: ObservationSet, theorem: CompletionMethod | str | None = None,
     tol: float | None = None, max_iterations: int = SolverOptions.max_iterations,
 ) -> SolveReport:
     """Complete the state by one route (by default the classifier's), then check every observation.
 
-    ``tol`` (default ``DEFAULT_IMAGE_TOL``, or the solver's when demand-driven) serves both.
-    Raises :class:`NotCoveredError` when no route applies, besides the errors of the route, and
-    ``ValueError`` when ``tol`` is not a finite number >= 0 or ``max_iterations`` an integer >= 0.
+    ``theorem`` is a :class:`CompletionMethod` or its value. ``tol`` (default
+    ``DEFAULT_IMAGE_TOL``, or the solver's when demand-driven) serves both. Raises
+    :class:`NotCoveredError` when no route applies, besides the errors of the route, and
+    ``ValueError`` when ``theorem`` names no route, ``tol`` is not a finite number >= 0 or
+    ``max_iterations`` an integer >= 0.
     """
     if tol is not None:
         require_tolerance(tol)
@@ -131,6 +134,7 @@ def complete(
             raise NotCoveredError(verdict.explanation, verdict.to_json_dict())
         theorem, forest = _ROUTES[verdict.verdict], verdict.detail.get("independent_flows")
     else:
+        theorem = CompletionMethod(theorem)
         obs.validate(net)
     if tol is None:
         demand_driven = theorem is CompletionMethod.DEMAND_DRIVEN
@@ -145,13 +149,16 @@ def complete(
         h_r, d = obs.reservoir_head_vector(net), obs.demand_vector(net)
         options = SolverOptions(max_iterations=max_iterations, tolerance=tol)
         report = solve_reservoir_heads_demands(net, h_r, d, options)
-    else:
+    elif theorem is CompletionMethod.FOREST_FLOWS:
+        grounded = sorted(map(net.node_index.__getitem__, obs.heads))
         if forest is None:
-            forest = greedy_independent_columns(net, obs.flows)
-        if len(forest) < net.n_consumers:
-            message = "observed flows do not span a forest reaching every consumer"
+            forest = greedy_independent_columns(net, obs.flows, grounded)
+        required = net.n_nodes - len(grounded)
+        if len(forest) < required:
+            message = "observed flows do not span a forest from the observed heads to every node"
             detail = {"error": "rank_deficient_flows", "message": message, "flow_rank": len(forest)}
-            raise NotCoveredError(message, {**detail, "required_rank": net.n_consumers})
-        report = _forest_flows_route(net, obs.reservoir_head_vector(net), forest, obs.flows)
+            raise NotCoveredError(message, {**detail, "required_rank": required})
+        heads = [float(obs.heads[net.node_ids[k]]) for k in grounded]
+        report = _forest_flows_route(net, grounded, heads, forest, obs.flows)
     check_observations(net, report.state, obs, tol)
     return report

@@ -54,27 +54,30 @@ def pipe_positions(net: Network, pipe_ids: Iterable[str]) -> list[int]:
         raise UnknownNodeError(f"unknown pipe id: {exc.args[0]!r}") from None
 
 
-def greedy_independent_columns(net: Network, candidates: Iterable[str]) -> tuple[str, ...]:
-    """Greedy maximal subset of ``candidates`` with independent consumer-row columns.
+def greedy_independent_columns(
+    net: Network, candidates: Iterable[str], grounded: Sequence[int] | None = None
+) -> tuple[str, ...]:
+    """Greedy maximal subset of ``candidates`` with independent columns in the ungrounded rows.
 
-    Scans candidates in canonical pipe order and keeps a pipe exactly when it
-    raises the rank of the consumer-row columns kept so far, that is, when it
-    joins two components of the graph with its reservoirs grounded. This is
-    one union-find pass; by the matroid greedy argument it keeps the same
-    pipes as a scan by exact rank. Candidates holding the forest of a built
-    :attr:`Network.grounded_tree` skip the pass: it would keep each forest
-    pipe and reject every other one, spanned by the forest pipes before it.
+    Scans candidates in canonical pipe order and keeps a pipe exactly when it raises the rank of
+    the columns kept so far in the rows of the nodes outside ``grounded`` (default: the
+    reservoirs), that is, when it joins two components of the graph with ``grounded`` merged.
+    This is one union-find pass; by the matroid greedy argument it keeps the same pipes as a scan
+    by exact rank. With the reservoirs grounded, candidates holding the forest of a built
+    :attr:`Network.grounded_tree` skip the pass: it would keep each forest pipe and reject every
+    other one, spanned by the forest pipes before it.
     """
     wanted = set(candidates)
     unknown = wanted.difference(net.pipe_index)
     if unknown:
         raise UnknownNodeError(f"unknown pipe id: {min(unknown)!r}")
     tree = vars(net).get("grounded_tree")  # building the tree costs more than this scan
-    if tree is not None and wanted.issuperset(tree.forest):
+    reservoirs = grounded is None or np.array_equal(grounded, net.reservoir_indices)
+    if tree is not None and reservoirs and wanted.issuperset(tree.forest):
         return tree.forest
     ids = net.pipe_ids
     positions = [j for j, pid in enumerate(ids) if pid in wanted]
-    return tuple(ids[j] for j in grounded_forest(net, positions))
+    return tuple(ids[j] for j in grounded_forest(net, positions, grounded))
 
 
 def select_independent_edges(net: Network) -> EdgeDecomposition:
@@ -172,12 +175,11 @@ def tree_walk(
     canonical forest from the reservoirs is oriented once per network
     (:attr:`Network.grounded_tree`); any other forest or grounded set is oriented afresh.
     """
-    reservoirs = net.reservoir_indices
-    if grounded is None or grounded is reservoirs or np.array_equal(grounded, reservoirs):
+    if grounded is None or np.array_equal(grounded, net.reservoir_indices):
         tree = net.grounded_tree
         if forest is None or tuple(forest) == tree.forest:
             return tree.steps
-        grounded = reservoirs
+        grounded = net.reservoir_indices
     elif forest is None:
         forest = net.grounded_tree.forest
     return orient_forest(net, pipe_positions(net, forest), grounded)

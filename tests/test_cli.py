@@ -235,6 +235,22 @@ class TestSolve:
         assert payload["state"]["heads"]["c1"] == pytest.approx(truth.heads[1], abs=1e-9)
 
     @pytest.mark.parametrize("theorem", ["auto", "forest-flows"])
+    def test_observed_consumer_head_grounds_the_forest(self, capsys, tmp_path, theorem):
+        # The flows on P2-P4 reach J1 and J2 only from J4, whose head is observed.
+        net = random_connected_wds(GeneratorConfig(seed=0, n_reservoirs=1, n_consumers=4,
+                                                   extra_edges=1))
+        truth = random_ground_truth_state(net, 0)
+        heads = {nid: float(truth.heads[net.node_index[nid]]) for nid in ("R1", "J4")}
+        flows = {pid: float(truth.flows[net.pipe_index[pid]]) for pid in ("P2", "P3", "P4")}
+        net_path = write_json(tmp_path / "net.json", network_to_json_dict(net))
+        obs = write_json(tmp_path / "obs.json", {"heads": heads, "flows": flows})
+        code, payload = invoke(capsys, ["solve", net_path, "--obs", obs, "--theorem", theorem])
+        assert code == 0
+        assert payload["theorem"] == "forest_flows"
+        solved = [payload["state"]["heads"][nid] for nid in net.node_ids]
+        assert np.max(np.abs(np.array(solved) - truth.heads)) <= 1e-12
+
+    @pytest.mark.parametrize("theorem", ["auto", "forest-flows"])
     def test_forest_route_scans_once(
         self, monkeypatch, capsys, tmp_path, triangle_file, triangle_net, theorem
     ):
@@ -242,9 +258,9 @@ class TestSolve:
         # Both the classifier and ``complete`` live in ``observability``.
         calls = []
 
-        def counted(net, candidates):
+        def counted(net, candidates, grounded=None):
             calls.append(tuple(candidates))
-            return structure.greedy_independent_columns(net, candidates)
+            return structure.greedy_independent_columns(net, candidates, grounded)
 
         monkeypatch.setattr(observability, "greedy_independent_columns", counted)
         truth = random_ground_truth_state(triangle_net, seed=3)
@@ -708,6 +724,25 @@ class TestStrictParsing:
         assert f"unknown observation section {key!r}" in captured.err
 
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_unknown_network_keys(self, capsys, tmp_path, triangle_net, command):
+        # A pump section and a closed pipe would otherwise be ignored, the pipe read as open.
+        truth = random_ground_truth_state(triangle_net, seed=1)
+        heads = dict(zip(triangle_net.node_ids, truth.heads.tolist()))
+        options = ["--obs", write_json(tmp_path / "obs.json", {"heads": heads})]
+        pumps, closed = network_to_json_dict(triangle_net), network_to_json_dict(triangle_net)
+        pumps["pumps"] = [{"id": "U1", "from": "R", "to": "c1"}]
+        closed["pipes"][2]["status"] = "closed"
+        for doc, message in ((pumps, "unknown network document key 'pumps'"),
+                             (closed, "(unknown key 'status')")):
+            net_path = write_json(tmp_path / "net.json", doc)
+            code = run_cli([command, net_path, *(options if command == "solve" else [])])
+            captured = capsys.readouterr()
+            assert code == 65
+            assert captured.out == ""
+            assert message in captured.err
+
+
 class TestCheck:
     def test_ground_truth_passes(self, capsys, tmp_path, triangle_file, triangle_net):
         truth = random_ground_truth_state(triangle_net, seed=5)
@@ -749,6 +784,16 @@ class TestCheck:
         assert code == 65
         assert captured.out == ""
         assert f"unknown id {added[0]!r} in state section {section!r}" in captured.err
+
+
+    def test_unknown_section_is_parse_error(self, capsys, tmp_path, triangle_file, triangle_net):
+        doc = state_to_json_dict(triangle_net, random_ground_truth_state(triangle_net, seed=5))
+        state = write_json(tmp_path / "state.json", {**doc, "pressures": {}})
+        code = run_cli(["check", triangle_file, "--state", state])
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert "unknown state section 'pressures'" in captured.err
 
 
 class TestAnalyze:

@@ -492,6 +492,26 @@ class TestNonFiniteInput:
         with pytest.raises(InvalidObservationError, match="finite"):
             route(triangle_net, bad)
 
+    @pytest.mark.parametrize("bad", [True, "1.5", None, 1j, "bool array"])
+    @pytest.mark.parametrize(
+        "n, route",
+        [
+            (3, lambda net, v: complete_from_heads(net, v)),
+            (3, lambda net, v: complete_from_reservoir_heads_and_flows(net, [100.0], v)),
+            (1, lambda net, v: complete_from_reservoir_heads_and_flows(net, v, [1.0, 0.5, 0.25])),
+            (1, lambda net, v: complete_from_forest_flows(net, v, {"e1": 1.0, "e2": 0.5})),
+            (2, lambda net, v: solve_reservoir_heads_demands(net, [100.0], v)),
+            (1, lambda net, v: solve_reservoir_heads_demands(net, v, [0.5, 0.5])),
+        ],
+        ids=["all_heads", "heads_flows_flow", "heads_flows_head", "forest_head", "demand",
+             "demand_driven_head"],
+    )
+    def test_vector_entries_follow_the_number_rule(self, triangle_net, n, route, bad):
+        # Each entry reads by json_number, so a boolean or a numeric string is no number.
+        vector = np.ones(n, dtype=bool) if bad == "bool array" else [1.0] * (n - 1) + [bad]
+        with pytest.raises(InvalidObservationError, match="finite"):
+            route(triangle_net, vector)
+
     @pytest.mark.parametrize("section", ["heads", "flows", "demands"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "-Infinity"])
     def test_observation_document_rejects(self, section, bad):

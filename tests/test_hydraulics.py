@@ -219,3 +219,10 @@ def test_state_json_rejects_non_numbers(triangle_net, section, value):
     doc[section][key] = value
     with pytest.raises(FormatError, match=f"non-numeric value .* at {key!r} in state section"):
         state_from_json_dict(triangle_net, doc)
+
+
+@pytest.mark.parametrize("key", ["pressures", "state"])
+def test_state_json_rejects_unknown_sections(triangle_net, key):
+    doc = state_to_json_dict(triangle_net, random_ground_truth_state(triangle_net, seed=2))
+    with pytest.raises(FormatError, match=f"unknown state section {key!r}"):
+        state_from_json_dict(triangle_net, {**doc, key: {}})

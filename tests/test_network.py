@@ -493,6 +493,23 @@ class TestColumns:
                 ["R", "J"], ["reservoir", "consumer"], ["a"], ["R"], ["J"], [1.0, 2.0], [1.0], [1.0]
             )
 
+    @pytest.mark.parametrize(
+        "node_ids, pipe_ids, message",
+        [
+            ([1, 2, 3], ["a", "b"], "node id must be a string, got 1"),
+            (["1", 1, 2], ["a", "b"], "node id must be a string, got 1"),
+            (["R", "J", "K"], ["a", None], "pipe id must be a string, got None"),
+            (["R", "J", "K"], [["a"], "b"], "pipe id must be a string, got \\['a'\\]"),
+        ],
+    )
+    def test_ids_must_be_strings(self, node_ids, pipe_ids, message):
+        # As in the JSON reader: the ids 1 and "1" would share one key in every document.
+        with pytest.raises(FormatError, match=message):
+            network_from_columns(
+                node_ids, ["reservoir", "consumer", "consumer"], pipe_ids, node_ids[:2],
+                node_ids[1:], [1.0, 1.0], [0.3, 0.3], [100.0, 100.0],
+            )
+
     def test_value_equality_and_no_hash(self, triangle_net):
         twin = network_from_json_dict(network_to_json_dict(triangle_net))
         assert twin == triangle_net and twin is not triangle_net
@@ -549,6 +566,22 @@ class TestStrictJson:
         pipes[1] = {**pipes[1], "to": 9}
         with pytest.raises(FormatError, match="'P1'.*\\(to must be a string\\)"):
             network_from_json_dict({**self.DOC, "pipes": pipes})
+
+    @pytest.mark.parametrize(
+        "where, key, message",
+        [
+            ("document", "pumps", "unknown network document key 'pumps'"),
+            ("node", "elevation", "malformed node entry: .* \\(unknown key 'elevation'\\)"),
+            ("pipe", "status", "malformed pipe entry: .* \\(unknown key 'status'\\)"),
+        ],
+    )
+    def test_unknown_keys_are_rejected(self, where, key, message):
+        # A pump or a closed pipe would otherwise be dropped without a word.
+        doc = {"nodes": [dict(n) for n in self.DOC["nodes"]], "pipes": [dict(self.DOC["pipes"][0])]}
+        entry = {"document": doc, "node": doc["nodes"][1], "pipe": doc["pipes"][0]}[where]
+        entry[key] = "closed"
+        with pytest.raises(FormatError, match=message):
+            network_from_json_dict(doc)
 
     def test_role_spelling_and_unknown_role(self):
         nodes = [{"id": "R", "role": "Reservoir"}, {"id": "J", "role": "CONSUMER"}]

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrostate import (
     CompletionMethod,
@@ -24,7 +26,10 @@ from hydrostate import (
     solve_reservoir_heads_demands,
 )
 from hydrostate import completion
+from hydrostate.exact import incidence_matrix, integer_rank
+from hydrostate.network import join_sets
 from hydrostate.structure import EdgeDecomposition
+from hydrostate.testkit import GeneratorConfig as Config
 from hydrostate.testkit import random_ground_truth_state
 
 from conftest import make_random_networks
@@ -94,6 +99,120 @@ class TestClassifier:
         )
         verdict = classify_observation_pattern(triangle_net, pattern)
         assert verdict.verdict is Verdict.DETERMINED_FOREST_FLOWS
+
+
+@st.composite
+def grounded_patterns(draw):
+    """A network with 1-3 reservoirs and parallel pipes, its seeded truth, and observed heads
+    (a nonempty set) and flows read from the truth."""
+    n_r, n_c = draw(st.integers(1, 3)), draw(st.integers(2, 24))
+    seed, truth_seed = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))
+    net = random_connected_wds(Config(seed, n_r, n_c, draw(st.integers(0, n_r + n_c))))
+    truth = random_ground_truth_state(net, truth_seed)
+
+    def subset(ids):
+        keep = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+        return [i for i, k in zip(ids, keep) if k]
+
+    heads = subset(net.node_ids) or [draw(st.sampled_from(net.node_ids))]
+    return net, truth, _pattern_from_state(net, truth, heads, subset(net.pipe_ids))
+
+
+class TestGroundedRule:
+    """K, the nodes with an observed head of any role, grounds the linear rule."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(grounded_patterns())
+    def test_matches_the_exact_rank_and_completes_to_the_truth(self, case):
+        net, truth, obs = case
+        unobserved = [nid for nid in net.node_ids if nid not in obs.heads]
+        columns = incidence_matrix(net).restrict(nodes=unobserved, pipes=list(obs.flows))
+        determined = integer_rank(columns.entries) == len(unobserved)
+        verdict = classify_observation_pattern(net, obs)
+        assert verdict.verdict.determined is determined
+        if not determined:
+            return
+        report = complete(net, obs)
+        for name in ("heads", "flows", "demands"):
+            got, want = getattr(report.state, name), getattr(truth, name)
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-8, name
+        if verdict.verdict is not Verdict.DETERMINED_FOREST_FLOWS:
+            return
+        assert verdict.detail["grounded_heads"] == [n for n in net.node_ids if n in obs.heads]
+        assert verdict.detail["required_rank"] == len(unobserved)
+
+        # Moving one observed consumer head moves its tree of the forest with it; an
+        # observed flow outside the forest with one end in that tree sees the move.
+        consumers = [nid for nid in net.consumer_ids if nid in obs.heads]
+        if not consumers:
+            return
+        moved = consumers[len(consumers) // 2]
+        forest = set(verdict.detail["independent_flows"])
+        parent = list(range(net.n_nodes))
+        ends = list(zip(net.tail_indices.tolist(), net.head_indices.tolist()))
+        for pid in forest:
+            join_sets(parent, *ends[net.pipe_index[pid]])
+
+        def root(i):
+            while parent[i] != i:
+                i = parent[i]
+            return i
+
+        tree = root(net.node_index[moved])
+        seen = any(
+            (root(a) == tree) != (root(b) == tree)
+            for a, b in (ends[net.pipe_index[pid]] for pid in obs.flows if pid not in forest)
+        )
+        if seen:
+            with pytest.raises(InconsistentObservationsError):
+                complete(net, _perturbed(obs, "heads", moved))
+        else:
+            complete(net, _perturbed(obs, "heads", moved))
+
+    def test_an_observed_consumer_head_grounds_the_walk(self):
+        # One reservoir, 4 consumers; with J4's head observed, the flows on P2-P4 reach
+        # every other node, although they reach only 3 of the 4 consumers from R1.
+        net = random_connected_wds(Config(seed=0, n_reservoirs=1, n_consumers=4, extra_edges=1))
+        truth = random_ground_truth_state(net, 0)
+        obs = _pattern_from_state(net, truth, heads=["J4", "R1"], flows=["P2", "P3", "P4"])
+        verdict = classify_observation_pattern(net, obs)
+        assert verdict.verdict is Verdict.DETERMINED_FOREST_FLOWS
+        assert verdict.detail == {
+            "flow_rank": 3, "required_rank": 3, "grounded_heads": ["R1", "J4"],
+            "independent_flows": ["P2", "P3", "P4"],
+        }
+        assert "the observed heads" in verdict.explanation
+        report = complete(net, obs)
+        assert report.theorem is CompletionMethod.FOREST_FLOWS
+        assert np.max(np.abs(report.state.heads - truth.heads)) <= 1e-12
+        forced = complete(net, obs, CompletionMethod.FOREST_FLOWS)
+        assert np.array_equal(forced.state.heads, report.state.heads)
+
+        # Without P4 the pattern is rank deficient relative to K.
+        fewer = _pattern_from_state(net, truth, heads=["J4", "R1"], flows=["P2", "P3"])
+        verdict = classify_observation_pattern(net, fewer)
+        assert verdict.verdict is Verdict.UNDETERMINED_RANK_DEFICIENT
+        assert verdict.detail == {
+            "flow_rank": 2, "required_rank": 3, "grounded_heads": ["R1", "J4"],
+        }
+        with pytest.raises(NotCoveredError) as forced:
+            complete(net, fewer, CompletionMethod.FOREST_FLOWS)
+        assert (forced.value.detail["flow_rank"], forced.value.detail["required_rank"]) == (2, 3)
+
+    def test_consumer_heads_alone_ground_the_walk(self, triangle_net):
+        # No reservoir head: flows that reach R from the observed consumer heads determine it.
+        truth = random_ground_truth_state(triangle_net, seed=4)
+        obs = _pattern_from_state(triangle_net, truth, heads=["c2", "c1"], flows=["e1"])
+        verdict = classify_observation_pattern(triangle_net, obs)
+        assert verdict.verdict is Verdict.DETERMINED_FOREST_FLOWS
+        assert verdict.detail["grounded_heads"] == ["c1", "c2"]
+        report = complete(triangle_net, obs)
+        assert np.max(np.abs(report.state.heads - truth.heads)) <= 1e-12
+
+        unreached = _pattern_from_state(triangle_net, truth, heads=["c1"], flows=["e3"])
+        verdict = classify_observation_pattern(triangle_net, unreached)
+        assert verdict.verdict is Verdict.NOT_COVERED
+        assert verdict.detail == {"missing_reservoir_heads": ["R"]}
 
 
 class TestSoundnessAgainstSolvers:
@@ -313,6 +432,14 @@ class TestComplete:
                 for theorem in (None, route):
                     with pytest.raises(InvalidObservationError, match=re.escape(where)):
                         complete(net, bad, theorem)
+
+    def test_theorem_is_a_completion_method_or_its_value(self, triangle_net):
+        truth = random_ground_truth_state(triangle_net, seed=2)
+        obs = _pattern_from_state(triangle_net, truth, heads=triangle_net.node_ids)
+        assert complete(triangle_net, obs, "all_heads").theorem is CompletionMethod.ALL_HEADS
+        for theorem in ("bogus", Verdict.DETERMINED_ALL_HEADS):
+            with pytest.raises(ValueError, match="is not a valid CompletionMethod"):
+                complete(triangle_net, obs, theorem)
 
     def test_not_covered(self, triangle_net):
         obs = ObservationSet(heads={"R": 100.0}, flows={"e3": 0.1})
