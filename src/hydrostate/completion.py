@@ -143,6 +143,8 @@ class ObservationSet:
 ZERO_FLOW_EPSILON = 1e-8
 #: Step halvings a Newton step may take before the solve gives up.
 MAX_STEP_HALVINGS = 30
+#: A stalled residual at most this times its largest head term is float rounding alone.
+FLOAT_RESOLUTION = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -242,19 +244,20 @@ def observed_head_loss(net: Network, pipes: np.ndarray, flows: np.ndarray) -> np
 _PACKAGE_PREFIX = os.path.dirname(__file__) + os.sep
 
 
-def _warn_negative_heads(consumer_heads: np.ndarray) -> None:
-    """Warn at the first caller outside the package when a consumer head is negative.
+def _warn_negative_heads(net: Network, h: np.ndarray, nodes: np.ndarray) -> None:
+    """Warn at the first caller outside the package when a head of ``nodes`` is negative.
 
     Heads are physically nonnegative, but the equations are solvable over all
     reals; a negative computed head flags implausible inputs, it does not
-    invalidate the solution.
+    invalidate the solution. The warning names the roles of the negative heads.
     """
-    if np.any(consumer_heads < 0):
+    roles = sorted({net.roles[k].value for k in nodes[h[nodes] < 0].tolist()})
+    if roles:
         frame, level = sys._getframe(), 1
         while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_PREFIX):
             frame, level = frame.f_back, level + 1
         warnings.warn(
-            "completion produced negative consumer heads; the solution is "
+            f"completion produced negative {' and '.join(roles)} heads; the solution is "
             "mathematically valid but physically implausible",
             stacklevel=level,
         )
@@ -270,8 +273,8 @@ def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theo
     loss = np.zeros(net.n_pipes)
     if observed.size:
         loss[observed] = observed_head_loss(net, observed, flows)
-    steps = tree_walk(net, forest, grounded)
-    h = walk_heads(steps, heads, loss)
+    walk = tree_walk(net, forest, grounded)
+    h = walk_heads(walk, heads, loss)
     drops = h[net.tail_indices] - h[net.head_indices]
     q = invert_head_loss(drops, net.resistances)
     q[observed] = flows
@@ -283,8 +286,7 @@ def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theo
         raise ObservationOverflowError("observations overflow the completed state")
     if observed.size and tol is not None:
         _check_flows(net, h, observed, loss[observed], tol)
-    if steps:
-        _warn_negative_heads(np.delete(h, grounded))
+    _warn_negative_heads(net, h, walk.child)
     report = residual_report(net, drops - head_loss(q, net.resistances), d + outflow)
     return SolveReport(HydraulicState(h, q, d), 0, report, theorem)
 
@@ -461,7 +463,8 @@ def solve_reservoir_heads_demands(
     nonlinearity, so the converged state is unbiased. Raises
     :class:`InvalidObservationError` on non-finite heads or demands and
     :class:`NonConvergenceError` when the start's residual is not finite, the
-    iteration budget runs out or no damped step decreases the residual.
+    iteration budget runs out or no damped step decreases the residual (saying
+    so when that residual is at the float resolution of the heads).
     """
     opts = options if options is not None else SolverOptions()
     h_r = _one_per(reservoir_heads, net.n_reservoirs, "reservoir head", "reservoir")
@@ -509,13 +512,18 @@ def solve_reservoir_heads_demands(
                 break
             lam *= 0.5
         else:
-            raise NonConvergenceError(iterations, norm)
+            error = NonConvergenceError(iterations, norm)
+            scale = float(np.max(np.abs(np.concatenate([h_r, h_c, head_loss(q, r)]))))
+            if norm <= FLOAT_RESOLUTION * scale:  # rounding alone leaves a residual this size
+                note = f"the residual sits at float resolution for heads up to {scale:.3g} m"
+                error.args = (f"{error}; {note}",)
+            raise error
 
         q, h_c, F, norm = q_new, h_new, F_new, norm_new
         iterations += 1
 
-    _warn_negative_heads(h_c)
     h = _assemble_heads(net, h_r, h_c)
+    _warn_negative_heads(net, h, net.consumer_indices)
     # F holds the residuals of exactly this state, bit for bit.
     report = residual_report(net, F[: net.n_pipes], F[net.n_pipes :])
     return SolveReport(HydraulicState(h, q, d), iterations, report, CompletionMethod.DEMAND_DRIVEN)

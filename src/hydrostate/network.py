@@ -20,9 +20,8 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import band
+from . import band, structure
 from .errors import (
-    DecompositionMismatchError,
     DisconnectedNetworkError,
     DuplicateIdError,
     FormatError,
@@ -250,9 +249,9 @@ class Network:
         return band.factor_heads(self.head_band, 1.0 / self.resistances)
 
     @cached_property
-    def grounded_tree(self) -> "GroundedTree":
+    def grounded_tree(self) -> structure.GroundedTree:
         """Canonical spanning forest with the reservoirs grounded, oriented from the ground."""
-        return _grounded_tree(self)
+        return structure.grounded_tree(self)
 
 
 def _positions_of(roles: tuple[NodeRole, ...], role: NodeRole) -> np.ndarray:
@@ -413,101 +412,9 @@ def _raise_first_defect(
     return parsed
 
 
-def join_sets(parent: list[int], a: int, b: int) -> bool:
-    """Union-find step: merge the sets holding ``a`` and ``b`` (Tarjan 1975).
-
-    ``parent`` starts as ``list(range(n))`` and is updated in place, with path
-    halving. Returns False when ``a`` and ``b`` were already in one set.
-    """
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = parent[a]
-    while parent[b] != b:
-        parent[b] = parent[parent[b]]
-        b = parent[b]
-    if a == b:
-        return False
-    parent[a] = b
-    return True
-
-
-def grounded_forest(
-    net: Network, positions: Iterable[int], grounded: Sequence[int] | None = None
-) -> list[int]:
-    """The pipe positions of ``positions`` that join two components, in the order given.
-
-    One union-find pass over the graph with the ``grounded`` nodes (default: the
-    reservoirs) merged into one node. A pipe's column in the other nodes' rows is
-    independent of the columns kept before it exactly when the pipe joins two
-    components, so this is the greedy rank scan without elimination.
-    """
-    tails, heads = net.tail_indices.tolist(), net.head_indices.tolist()
-    parent = list(range(net.n_nodes))
-    ground = np.asarray(net.reservoir_indices if grounded is None else grounded).tolist()
-    for r in ground:
-        parent[r] = ground[0]
-    return [j for j in positions if join_sets(parent, tails[j], heads[j])]
-
-
-def orient_forest(
-    net: Network, positions: Sequence[int], grounded: Sequence[int]
-) -> tuple[tuple[int, int, int, int], ...]:
-    """Orient the forest pipes at ``positions`` breadth-first from the ``grounded`` node indices.
-
-    Step ``(child, parent, pipe, sign)`` has ``sign`` +1 when ``pipe`` points to ``child``. Raises
-    :class:`DecompositionMismatchError` unless the forest spans the graph with ``grounded`` merged.
-    """
-    if not positions and len(grounded) == net.n_nodes:
-        return ()
-    queue = np.asarray(grounded).tolist()
-    tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
-    incident: list[list[int]] = [[] for _ in range(net.n_nodes)]
-    for j in positions:
-        incident[tails[j]].append(j)
-        incident[ends[j]].append(j)
-    reached, steps = set(queue), []
-    for parent in queue:
-        for j in incident[parent]:
-            child, sign = (ends[j], 1) if tails[j] == parent else (tails[j], -1)
-            if child not in reached:
-                reached.add(child)
-                queue.append(child)
-                steps.append((child, parent, j, sign))
-    # Each reached node takes one forest pipe: any pipe left over closes a cycle.
-    if len(steps) != len(positions) or len(queue) != net.n_nodes:
-        raise DecompositionMismatchError("the forest must reach every ungrounded node exactly once")
-    return tuple(steps)
-
-
-@dataclass(frozen=True, eq=False)
-class GroundedTree:
-    """The canonical forest/chord split of the pipes and the forest's orientation.
-
-    ``forest`` holds the pipes that :func:`grounded_forest` keeps scanning all
-    pipes in canonical order, ``chords`` the others in canonical order, and
-    ``steps`` is :func:`orient_forest` of the forest from the reservoirs.
-    """
-
-    forest: tuple[str, ...]
-    chords: tuple[str, ...]
-    steps: tuple[tuple[int, int, int, int], ...]
-
-
-def _grounded_tree(net: Network) -> GroundedTree:
-    kept = grounded_forest(net, range(net.n_pipes))
-    assert len(kept) == net.n_consumers, "a connected network has a spanning forest"
-    chosen = set(kept)
-    ids = net.pipe_ids
-    return GroundedTree(
-        tuple(ids[j] for j in kept),
-        tuple(pid for j, pid in enumerate(ids) if j not in chosen),
-        orient_forest(net, kept, net.reservoir_indices),
-    )
-
-
 def _check_connected(n_nodes: int, tails: list[int], heads: list[int]) -> None:
     parent = list(range(n_nodes))
-    joins = sum(join_sets(parent, t, h) for t, h in zip(tails, heads))
+    joins = sum(structure.join_sets(parent, t, h) for t, h in zip(tails, heads))
     if n_nodes - joins != 1:
         raise DisconnectedNetworkError(f"network is not connected ({n_nodes - joins} components)")
 

@@ -93,8 +93,8 @@ def classify_observation_pattern(net: Network, pattern: ObservationSet) -> Obser
     if not missing:
         return ObservabilityVerdict(
             Verdict.UNDETERMINED_RANK_DEFICIENT,
-            "the observed flows do not reach every consumer independently; "
-            "the remaining state is not determined by the flow route",
+            "the observed flows do not connect every node without an observed head to an "
+            "observed head; the remaining state is not determined by the flow route",
             detail=detail,
         )
 

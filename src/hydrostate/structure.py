@@ -14,13 +14,15 @@ exact elimination on it are the test oracles of :mod:`hydrostate.exact`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DecompositionMismatchError, UnknownNodeError
 from .band import consumer_ends
-from .network import Network, grounded_forest, orient_forest
+
+if TYPE_CHECKING:
+    from .network import Network
 
 
 def __getattr__(name: str):
@@ -52,6 +54,42 @@ def pipe_positions(net: Network, pipe_ids: Iterable[str]) -> list[int]:
         return [net.pipe_index[pid] for pid in pipe_ids]
     except KeyError as exc:
         raise UnknownNodeError(f"unknown pipe id: {exc.args[0]!r}") from None
+
+
+def join_sets(parent: list[int], a: int, b: int) -> bool:
+    """Union-find step: merge the sets holding ``a`` and ``b`` (Tarjan 1975).
+
+    ``parent`` starts as ``list(range(n))`` and is updated in place, with path
+    halving. Returns False when ``a`` and ``b`` were already in one set.
+    """
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    while parent[b] != b:
+        parent[b] = parent[parent[b]]
+        b = parent[b]
+    if a == b:
+        return False
+    parent[a] = b
+    return True
+
+
+def grounded_forest(
+    net: Network, positions: Iterable[int], grounded: Sequence[int] | None = None
+) -> list[int]:
+    """The pipe positions of ``positions`` that join two components, in the order given.
+
+    One union-find pass over the graph with the ``grounded`` nodes (default: the
+    reservoirs) merged into one node. A pipe's column in the other nodes' rows is
+    independent of the columns kept before it exactly when the pipe joins two
+    components, so this is the greedy rank scan without elimination.
+    """
+    tails, heads = net.tail_indices.tolist(), net.head_indices.tolist()
+    parent = list(range(net.n_nodes))
+    ground = np.asarray(net.reservoir_indices if grounded is None else grounded).tolist()
+    for r in ground:
+        parent[r] = ground[0]
+    return [j for j in positions if join_sets(parent, tails[j], heads[j])]
 
 
 def greedy_independent_columns(
@@ -165,32 +203,108 @@ def _solve_rational(a: np.ndarray, b: np.ndarray) -> list[list]:
     return [row[n:] for row in work]
 
 
+@dataclass(frozen=True, eq=False)
+class ForestWalk:
+    """A forest oriented breadth-first from its grounded nodes, as level arrays.
+
+    ``steps`` is a read-only (4, s) intp array of rows ``child, parent, pipe, sign``: ``pipe``
+    reaches ``child`` from ``parent`` and points to it when ``sign`` is +1. Columns
+    ``levels[d]:levels[d + 1]`` reach depth ``d + 1``, so each parent is grounded or walked before.
+    """
+
+    steps: np.ndarray
+    levels: tuple[int, ...]
+
+    @property
+    def child(self) -> np.ndarray:
+        """The walked nodes, that is, those not grounded, in walk order."""
+        return self.steps[0]
+
+
+@dataclass(frozen=True, eq=False)
+class GroundedTree:
+    """The canonical split of the pipes and its forest's orientation.
+
+    ``forest`` holds the pipes that :func:`grounded_forest` keeps scanning all pipes in canonical
+    order, ``chords`` the others in canonical order, and ``walk`` is :func:`orient_forest` of the
+    forest from the reservoirs.
+    """
+
+    forest: tuple[str, ...]
+    chords: tuple[str, ...]
+    walk: ForestWalk
+
+
+def grounded_tree(net: Network) -> GroundedTree:
+    """The canonical :class:`GroundedTree`, which :attr:`Network.grounded_tree` caches."""
+    kept = grounded_forest(net, range(net.n_pipes))
+    assert len(kept) == net.n_consumers, "a connected network has a spanning forest"
+    chosen = set(kept)
+    ids = net.pipe_ids
+    return GroundedTree(
+        tuple(ids[j] for j in kept),
+        tuple(pid for j, pid in enumerate(ids) if j not in chosen),
+        orient_forest(net, kept, net.reservoir_indices),
+    )
+
+
+def orient_forest(net: Network, positions: Sequence[int], grounded: Sequence[int]) -> ForestWalk:
+    """Orient the forest pipes at ``positions`` breadth-first from the ``grounded`` node indices.
+
+    Raises :class:`DecompositionMismatchError` unless they span the graph with ``grounded`` merged.
+    """
+    queue, parents, pipes, levels = np.asarray(grounded).tolist(), [], [], [0]
+    if positions or len(queue) != net.n_nodes:  # else every node is grounded: no steps
+        tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
+        incident: list[list[int]] = [[] for _ in range(net.n_nodes)]
+        for j in positions:
+            incident[tails[j]].append(j)
+            incident[ends[j]].append(j)
+        reached, level_end = set(queue), len(queue)
+        for i, parent in enumerate(queue):
+            if i == level_end:  # the parents one level deeper begin
+                levels.append(len(pipes))
+                level_end = len(queue)
+            for j in incident[parent]:
+                child = ends[j] if tails[j] == parent else tails[j]
+                if child not in reached:
+                    reached.add(child)
+                    queue.append(child)
+                    parents.append(parent)
+                    pipes.append(j)
+        # Each reached node takes one forest pipe: any pipe left over closes a cycle.
+        if len(pipes) != len(positions) or len(queue) != net.n_nodes:
+            message = "the forest must reach every ungrounded node exactly once"
+            raise DecompositionMismatchError(message)
+    steps = np.empty((4, len(pipes)), dtype=np.intp)
+    steps[0], steps[1], steps[2] = queue[len(grounded):], parents, pipes
+    steps[3] = np.where(net.tail_indices[steps[2]] == steps[1], 1, -1)
+    steps.setflags(write=False)
+    return ForestWalk(steps, tuple(levels))
+
+
 def tree_walk(
     net: Network, forest: Sequence[str] | None = None, grounded: Sequence[int] | None = None
-) -> tuple[tuple[int, int, int, int], ...]:
-    """Orient ``forest`` (default: the canonical one) breadth-first from ``grounded`` (reservoirs).
+) -> ForestWalk:
+    """:func:`orient_forest` of the pipe ids ``forest`` from ``grounded`` (default: the reservoirs).
 
-    Step ``(child, parent, pipe, sign)`` has ``sign`` +1 when ``pipe`` points to ``child``. Raises
-    :class:`DecompositionMismatchError` unless it spans the graph with ``grounded`` merged. The
+    ``forest`` defaults to the canonical one, and must be given with another ``grounded``. The
     canonical forest from the reservoirs is oriented once per network
     (:attr:`Network.grounded_tree`); any other forest or grounded set is oriented afresh.
     """
     if grounded is None or np.array_equal(grounded, net.reservoir_indices):
         tree = net.grounded_tree
         if forest is None or tuple(forest) == tree.forest:
-            return tree.steps
+            return tree.walk
         grounded = net.reservoir_indices
-    elif forest is None:
-        forest = net.grounded_tree.forest
     return orient_forest(net, pipe_positions(net, forest), grounded)
 
 
-def walk_heads(steps, heads: np.ndarray, loss: np.ndarray) -> np.ndarray:
-    """Every head from the grounded ones: ``h[child] = h[parent] - sign * loss[pipe]``."""
-    if not steps:  # every node grounded: skip the list round trip
-        return np.array(heads, dtype=float)
-    h, loss = np.asarray(heads, dtype=float).tolist(), np.asarray(loss, dtype=float).tolist()
-    for child, parent, pipe, sign in steps:
-        h[child] = h[parent] - sign * loss[pipe]
-    return np.array(h)
-
+def walk_heads(walk: ForestWalk, heads: np.ndarray, loss: np.ndarray) -> np.ndarray:
+    """Every head from the grounded ones: ``h[child] = h[parent] - sign * loss[pipe]`` per level."""
+    child, parent, pipe, sign = walk.steps
+    drop = sign * loss[pipe]
+    h = np.array(heads, dtype=float)
+    for a, b in zip(walk.levels, walk.levels[1:]):
+        h[child[a:b]] = h[parent[a:b]] - drop[a:b]
+    return h

@@ -150,15 +150,15 @@ def forest_start(net: Network, reservoir_heads, demands):
 
     Consumer heads follow the forest's head losses down from the reservoirs.
     """
-    steps = tree_walk(net)
+    walk = tree_walk(net)
     subtree, q = np.zeros(net.n_nodes), np.zeros(net.n_pipes)
     subtree[net.consumer_indices] = demands
-    for child, parent, pipe, sign in reversed(steps):
+    for child, parent, pipe, sign in reversed(walk.steps.T.tolist()):
         q[pipe] = sign * subtree[child]
         subtree[parent] += subtree[child]
     h = np.zeros(net.n_nodes)
     h[net.reservoir_indices] = reservoir_heads
-    h = walk_heads(steps, h, head_loss(q, net.resistances))
+    h = walk_heads(walk, h, head_loss(q, net.resistances))
     return q, h[net.consumer_indices]
 
 

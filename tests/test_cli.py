@@ -899,6 +899,24 @@ def test_cli_solve_loads_no_generator(tmp_path, net_file, observed, theorem):
     assert _loaded_in_child(code) == ["0", theorem, "False", "False", "False"]
 
 
+@pytest.mark.parametrize("first", ["hydrostate.network", "hydrostate.structure"])
+def test_graph_modules_import_in_either_order(first):
+    # ``network`` imports ``structure`` for the grounded tree; ``structure`` needs ``Network``
+    # only in annotations, so a fresh interpreter may import either module first. A bare
+    # package module stands in for ``hydrostate/__init__``, which would fix the order.
+    package = str(Path(hydrostate.__file__).parent)
+    code = (
+        "import sys, types\n"
+        "sys.modules['hydrostate'] = types.ModuleType('hydrostate', None)\n"
+        f"sys.modules['hydrostate'].__path__ = [{package!r}]\n"
+        f"import {first}, hydrostate.network as n, hydrostate.structure as s\n"
+        "net = n.build_network([('R', 'reservoir'), ('J', 'consumer')],"
+        " [('P', 'R', 'J', n.PipeParams(1.0, 0.3, 100.0))])\n"
+        f"print(s.tree_walk(net) is net.grounded_tree.walk, *{_NOT_LOADED}, file=sys.stderr)"
+    )
+    assert _loaded_in_child(code) == ["True", "False", "False", "False"]
+
+
 def test_import_loads_no_generator():
     code = f"import sys, hydrostate; print(*{_NOT_LOADED}, file=sys.stderr)"
     assert _loaded_in_child(code) == ["False", "False", "False"]

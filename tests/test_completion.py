@@ -370,6 +370,44 @@ def test_negative_heads_warning_points_at_the_caller(single_pipe_net, route):
     assert [w.filename for w in record] == [__file__]
 
 
+def test_negative_walked_reservoir_head_is_named_as_such(single_pipe_net):
+    # Grounded at J1, the walk reaches R through P1; the flow from J1 to R drags R below zero.
+    with pytest.warns(UserWarning) as record:
+        report = complete(single_pipe_net, ObservationSet(heads={"J1": 1.0}, flows={"P1": -2.0}))
+    assert report.state.heads.tolist()[0] < 0 < report.state.heads.tolist()[1]
+    assert [str(w.message) for w in record] == [
+        "completion produced negative reservoir heads; the solution is "
+        "mathematically valid but physically implausible"
+    ]
+    assert [w.filename for w in record] == [__file__]
+
+
+def test_stall_at_float_resolution_says_so():
+    # At 10^4 times its demands the solve reaches heads of about 1e9 m, where rounding alone
+    # leaves a residual above the tolerance, and no damped step lowers it: still exit 3, but
+    # the message says why.
+    net = random_connected_wds(GeneratorConfig(0, n_reservoirs=1, n_consumers=8, extra_edges=3))
+    truth = random_ground_truth_state(net, 0)
+    args = (net, truth.reservoir_heads(net), 1e4 * truth.demands)
+    with pytest.raises(NonConvergenceError) as stalled:
+        solve_reservoir_heads_demands(*args)
+    error = stalled.value
+    assert (error.iterations, error.residual) == (4, 2.0**-21)
+    assert re.fullmatch(
+        r"no convergence after 4 iterations \(residual 4\.768372e-07\); the residual sits at "
+        r"float resolution for heads up to \d\.\d\de\+09 m",
+        str(error),
+    )
+    with pytest.warns(UserWarning, match="negative consumer heads"):
+        assert solve_reservoir_heads_demands(*args, SolverOptions(tolerance=1e-4)).iterations == 4
+
+    # A budget that runs out keeps its message.
+    with pytest.raises(NonConvergenceError) as budget:
+        solve_reservoir_heads_demands(*args, SolverOptions(max_iterations=1))
+    error = budget.value
+    assert str(error) == f"no convergence after 1 iterations (residual {error.residual:.6e})"
+
+
 class TestOverflowingFlows:
     """A finite flow whose head loss overflows is rejected, never completed to NaN heads."""
 

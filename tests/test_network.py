@@ -29,7 +29,8 @@ from hydrostate import (
     network_to_json_dict,
     resistance,
 )
-from hydrostate.network import NodeRole, _resistances, join_sets
+from hydrostate.network import NodeRole, _resistances
+from hydrostate.structure import join_sets
 from hydrostate.exact import integer_rank
 
 from conftest import make_random_networks

@@ -27,8 +27,7 @@ from hydrostate import (
 )
 from hydrostate import completion
 from hydrostate.exact import incidence_matrix, integer_rank
-from hydrostate.network import join_sets
-from hydrostate.structure import EdgeDecomposition
+from hydrostate.structure import EdgeDecomposition, join_sets
 from hydrostate.testkit import GeneratorConfig as Config
 from hydrostate.testkit import random_ground_truth_state
 
@@ -69,6 +68,16 @@ class TestClassifier:
         assert verdict.verdict is Verdict.UNDETERMINED_RANK_DEFICIENT
         assert verdict.detail["flow_rank"] == 1
         assert verdict.detail["required_rank"] == 2
+
+    def test_rank_deficient_explanation_names_the_nodes_without_heads(self, triangle_net):
+        pattern = ObservationSet(heads={"R": 100.0, "c1": 99.0})
+        verdict = classify_observation_pattern(triangle_net, pattern)
+        assert verdict.verdict is Verdict.UNDETERMINED_RANK_DEFICIENT
+        assert (verdict.detail["flow_rank"], verdict.detail["required_rank"]) == (0, 1)
+        assert verdict.explanation == (
+            "the observed flows do not connect every node without an observed head to an "
+            "observed head; the remaining state is not determined by the flow route"
+        )
 
     def test_no_reservoir_heads_not_covered(self, triangle_net):
         pattern = ObservationSet(heads={"c1": 99.0}, demands={"c1": 0.5, "c2": 0.5})

@@ -32,12 +32,12 @@ from hydrostate import (
     select_independent_edges,
     submatrix_rank,
 )
-from hydrostate import network, structure
+from hydrostate import structure
 from hydrostate.completion import DEFAULT_IMAGE_TOL
 from hydrostate.exact import integer_determinant, integer_rank
-from hydrostate.network import orient_forest
 from hydrostate.structure import (
     greedy_independent_columns,
+    orient_forest,
     pipe_positions,
     tree_walk,
     walk_heads,
@@ -114,7 +114,7 @@ class TestIntegerElimination:
             B_vc = incidence_matrix(net).restrict(nodes=net.consumer_ids)
             for forest in (True, True, False, False):
                 if forest:
-                    kept = network.grounded_forest(net, rng.permutation(net.n_pipes).tolist())
+                    kept = structure.grounded_forest(net, rng.permutation(net.n_pipes).tolist())
                     pipes = [net.pipe_ids[j] for j in kept]
                 else:
                     pipes = list(rng.choice(net.pipe_ids, net.n_consumers, replace=False))
@@ -374,7 +374,7 @@ class TestForestScan:
 
         def scan(candidates):
             positions = sorted(pipe_positions(net, set(candidates)))
-            return tuple(net.pipe_ids[j] for j in network.grounded_forest(net, positions))
+            return tuple(net.pipe_ids[j] for j in structure.grounded_forest(net, positions))
 
         forest = scan(net.pipe_ids)
         chords = [pid for pid in net.pipe_ids if pid not in forest]
@@ -382,16 +382,18 @@ class TestForestScan:
         surplus = data.draw(st.permutations(forest + tuple(data.draw(drawn))))
         dropped = data.draw(st.sampled_from(forest))
         lacking = [pid for pid in surplus if pid != dropped]
+        scanned = scan(lacking)
 
-        wrapped = mock.patch.object(structure, "grounded_forest", wraps=network.grounded_forest)
+        wrapped = mock.patch.object(structure, "grounded_forest", wraps=structure.grounded_forest)
         with wrapped as scans:
             assert greedy_independent_columns(net, surplus) == forest
             assert scans.call_count == 1 and "grounded_tree" not in vars(net)
             assert net.grounded_tree.forest == forest
+            assert scans.call_count == 2  # building the tree is one scan
             assert greedy_independent_columns(net, surplus) == forest
-            assert scans.call_count == 1
-            assert greedy_independent_columns(net, lacking) == scan(lacking)
             assert scans.call_count == 2
+            assert greedy_independent_columns(net, lacking) == scanned
+            assert scans.call_count == 3
 
     def test_reservoir_pipe_is_always_dependent(self):
         r = params_for_resistance(1.0)
@@ -477,11 +479,65 @@ def assert_close(actual, expected, rtol):
 
 def scanned_forest(net, pipe_ids):
     """The pipes of ``pipe_ids`` that join two grounded components, in the order given."""
-    positions = network.grounded_forest(net, pipe_positions(net, pipe_ids))
+    positions = structure.grounded_forest(net, pipe_positions(net, pipe_ids))
     return tuple(net.pipe_ids[j] for j in positions)
 
 
+def per_step_orientation(net, positions, grounded):
+    """Oracle: the breadth-first orientation as ``(child, parent, pipe, sign)`` steps, in order."""
+    queue = list(grounded)
+    tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
+    incident = [[] for _ in range(net.n_nodes)]
+    for j in positions:
+        incident[tails[j]].append(j)
+        incident[ends[j]].append(j)
+    reached, steps = set(queue), []
+    for parent in queue:
+        for j in incident[parent]:
+            child, sign = (ends[j], 1) if tails[j] == parent else (tails[j], -1)
+            if child not in reached:
+                reached.add(child)
+                queue.append(child)
+                steps.append((child, parent, j, sign))
+    return steps
+
+
+def per_step_heads(steps, heads, loss):
+    """Oracle: the walk one step at a time, in Python floats."""
+    h, loss = np.asarray(heads, dtype=float).tolist(), np.asarray(loss, dtype=float).tolist()
+    for child, parent, pipe, sign in steps:
+        h[child] = h[parent] - sign * loss[pipe]
+    return np.array(h)
+
+
 class TestTreeWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_level_walk_matches_the_per_step_walk(self, data):
+        # K is any nonempty node set, of any role, and the forest its greedy scan keeps.
+        net = data.draw(shuffled_networks())
+        grounded = sorted(data.draw(st.sets(st.integers(0, net.n_nodes - 1), min_size=1)))
+        forest = greedy_independent_columns(net, net.pipe_ids, grounded)
+        walk = tree_walk(net, forest, grounded)
+        steps = per_step_orientation(net, pipe_positions(net, forest), grounded)
+        assert walk.steps.T.tolist() == [list(step) for step in steps]
+
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        heads = np.zeros(net.n_nodes)
+        heads[grounded] = rng.uniform(-50.0, 150.0, len(grounded))
+        loss = rng.uniform(-10.0, 10.0, net.n_pipes)
+        assert np.array_equal(walk_heads(walk, heads, loss), per_step_heads(steps, heads, loss))
+
+        # Each level's parents are grounded or children of an earlier level.
+        known, levels = set(grounded), walk.levels
+        assert levels[0] == 0 and levels[-1] == len(steps)
+        for a, b in zip(levels, levels[1:]):
+            assert a < b
+            assert known.issuperset(walk.steps[1, a:b].tolist())
+            assert known.isdisjoint(walk.steps[0, a:b].tolist())
+            known.update(walk.steps[0, a:b].tolist())
+        assert known == set(range(net.n_nodes))
+
     @pytest.mark.filterwarnings("ignore:completion produced negative consumer heads")
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -517,16 +573,17 @@ class TestTreeWalk:
 
     def test_orientation_and_order(self, path_net):
         # R -> c1 -> c2 along the canonical orientation; c1 is reached first.
-        steps = tree_walk(path_net)
-        assert steps == ((1, 0, 0, 1), (2, 1, 1, 1))
-        heads = walk_heads(steps, np.array([100.0, 0.0, 0.0]), np.array([1.0, 0.5]))
+        walk = tree_walk(path_net)
+        assert walk.steps.tolist() == [[1, 2], [0, 1], [0, 1], [1, 1]]
+        assert walk.levels == (0, 1, 2) and walk.child.tolist() == [1, 2]
+        heads = walk_heads(walk, np.array([100.0, 0.0, 0.0]), np.array([1.0, 0.5]))
         assert heads.tolist() == [100.0, 99.0, 98.5]
 
     def test_empty_forest_with_every_node_grounded(self, triangle_net):
-        steps = tree_walk(triangle_net, (), range(triangle_net.n_nodes))
-        assert steps == ()
+        walk = tree_walk(triangle_net, (), range(triangle_net.n_nodes))
+        assert walk.steps.shape == (4, 0) and walk.levels == (0,)
         heads = np.array([3.0, 2.0, 1.0])
-        assert walk_heads(steps, heads, np.zeros(3)).tolist() == heads.tolist()
+        assert walk_heads(walk, heads, np.zeros(3)).tolist() == heads.tolist()
 
     @pytest.mark.parametrize(
         "forest",
@@ -545,16 +602,22 @@ class TestTreeWalk:
 # --- the grounded tree, oriented once per network -----------------------------
 
 
-def assert_valid_orientation(net, forest, grounded, steps):
+def assert_valid_orientation(net, forest, grounded, walk):
     """Every step reaches a new node from a reached one through a forest pipe, with its sign."""
     reached = set(grounded)
     forest_positions = {net.pipe_index[pid] for pid in forest}
+    steps = walk.steps.T.tolist()
     for child, parent, pipe, sign in steps:
         assert parent in reached and child not in reached and pipe in forest_positions
         tail, head = int(net.tail_indices[pipe]), int(net.head_indices[pipe])
         assert (tail, head) == ((parent, child) if sign == 1 else (child, parent))
         reached.add(child)
     assert len(steps) == len(forest) and reached == set(range(net.n_nodes))
+    assert walk.steps.dtype == np.intp and not walk.steps.flags.writeable
+
+
+def assert_same_walk(walk, other):
+    assert np.array_equal(walk.steps, other.steps) and walk.levels == other.levels
 
 
 class TestGroundedTree:
@@ -567,27 +630,27 @@ class TestGroundedTree:
         canonical = scanned_forest(net, net.pipe_ids)
         assert tree.forest == canonical
         assert tree.chords == tuple(pid for pid in net.pipe_ids if pid not in canonical)
-        assert tree.steps == orient_forest(net, pipe_positions(net, canonical), reservoirs)
-        assert_valid_orientation(net, canonical, reservoirs, tree.steps)
+        assert_same_walk(tree.walk, orient_forest(net, pipe_positions(net, canonical), reservoirs))
+        assert_valid_orientation(net, canonical, reservoirs, tree.walk)
         assert select_independent_edges(net) == EdgeDecomposition(tree.forest, tree.chords)
 
         # The canonical forest from the reservoirs, however passed, reads the cache.
-        assert tree_walk(net) is tree.steps
-        assert tree_walk(net, canonical) is tree.steps
-        assert tree_walk(net, list(canonical), list(reservoirs)) is tree.steps
-        assert tree_walk(net, canonical, net.reservoir_indices) is tree.steps
+        assert tree_walk(net) is tree.walk
+        assert tree_walk(net, canonical) is tree.walk
+        assert tree_walk(net, list(canonical), list(reservoirs)) is tree.walk
+        assert tree_walk(net, canonical, net.reservoir_indices) is tree.walk
 
         # A forest from a permuted scan, or another grounded order, is walked afresh.
         permuted = scanned_forest(net, data.draw(st.permutations(net.pipe_ids)))
         walked = tree_walk(net, permuted)
-        assert walked == orient_forest(net, pipe_positions(net, permuted), reservoirs)
+        assert_same_walk(walked, orient_forest(net, pipe_positions(net, permuted), reservoirs))
         assert_valid_orientation(net, permuted, reservoirs, walked)
         if permuted != canonical:
-            assert walked is not tree.steps
+            assert walked is not tree.walk
         order = data.draw(st.permutations(reservoirs))
         regrounded = tree_walk(net, canonical, order)
         assert_valid_orientation(net, canonical, order, regrounded)
-        assert (regrounded is tree.steps) == (order == reservoirs)
+        assert (regrounded is tree.walk) == (order == reservoirs)
 
         # A forest that does not span the grounded graph still raises.
         with pytest.raises(DecompositionMismatchError):
@@ -607,11 +670,8 @@ class TestGroundedTree:
                 return fn(*args)
             return wrapper
 
-        scan = counted("scan", network.grounded_forest)
-        orient = counted("orient", network.orient_forest)
-        for module in (network, structure):
-            monkeypatch.setattr(module, "grounded_forest", scan)
-            monkeypatch.setattr(module, "orient_forest", orient)
+        for kind, name in (("scan", "grounded_forest"), ("orient", "orient_forest")):
+            monkeypatch.setattr(structure, name, counted(kind, getattr(structure, name)))
         return calls
 
     def test_second_linear_solve_runs_no_scan(self, counts):
