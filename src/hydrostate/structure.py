@@ -248,34 +248,38 @@ def grounded_tree(net: Network) -> GroundedTree:
     )
 
 
+#: The walk of an empty forest with every node grounded (read-only: it views immutable bytes).
+_ALL_GROUNDED = ForestWalk(np.frombuffer(b"", dtype=np.intp).reshape(4, 0), (0,))
+
+
 def orient_forest(net: Network, positions: Sequence[int], grounded: Sequence[int]) -> ForestWalk:
     """Orient the forest pipes at ``positions`` breadth-first from the ``grounded`` node indices.
 
     Raises :class:`DecompositionMismatchError` unless they span the graph with ``grounded`` merged.
     """
+    if not positions and len(grounded) == net.n_nodes:
+        return _ALL_GROUNDED
     queue, parents, pipes, levels = np.asarray(grounded).tolist(), [], [], [0]
-    if positions or len(queue) != net.n_nodes:  # else every node is grounded: no steps
-        tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
-        incident: list[list[int]] = [[] for _ in range(net.n_nodes)]
-        for j in positions:
-            incident[tails[j]].append(j)
-            incident[ends[j]].append(j)
-        reached, level_end = set(queue), len(queue)
-        for i, parent in enumerate(queue):
-            if i == level_end:  # the parents one level deeper begin
-                levels.append(len(pipes))
-                level_end = len(queue)
-            for j in incident[parent]:
-                child = ends[j] if tails[j] == parent else tails[j]
-                if child not in reached:
-                    reached.add(child)
-                    queue.append(child)
-                    parents.append(parent)
-                    pipes.append(j)
-        # Each reached node takes one forest pipe: any pipe left over closes a cycle.
-        if len(pipes) != len(positions) or len(queue) != net.n_nodes:
-            message = "the forest must reach every ungrounded node exactly once"
-            raise DecompositionMismatchError(message)
+    tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
+    incident: list[list[int]] = [[] for _ in range(net.n_nodes)]
+    for j in positions:
+        incident[tails[j]].append(j)
+        incident[ends[j]].append(j)
+    reached, level_end = set(queue), len(queue)
+    for i, parent in enumerate(queue):
+        if i == level_end:  # the parents one level deeper begin
+            levels.append(len(pipes))
+            level_end = len(queue)
+        for j in incident[parent]:
+            child = ends[j] if tails[j] == parent else tails[j]
+            if child not in reached:
+                reached.add(child)
+                queue.append(child)
+                parents.append(parent)
+                pipes.append(j)
+    # Each reached node takes one forest pipe: any pipe left over closes a cycle.
+    if len(pipes) != len(positions) or len(queue) != net.n_nodes:
+        raise DecompositionMismatchError("the forest must reach every ungrounded node exactly once")
     steps = np.empty((4, len(pipes)), dtype=np.intp)
     steps[0], steps[1], steps[2] = queue[len(grounded):], parents, pipes
     steps[3] = np.where(net.tail_indices[steps[2]] == steps[1], 1, -1)
