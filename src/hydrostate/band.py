@@ -100,8 +100,9 @@ def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
 
     Each connected component in turn is numbered breadth-first from a
     pseudo-peripheral node (George & Liu), visiting neighbours by increasing
-    degree; reversing the whole numbering leaves the bandwidth unchanged and
-    reduces fill.
+    degree: its numbering is the level structure that the search for that
+    node built. Reversing the whole numbering leaves the bandwidth unchanged
+    and reduces fill.
     """
     degree = [len(nb) for nb in neighbours]
     for nb in neighbours:
@@ -121,25 +122,20 @@ def _reverse_cuthill_mckee(neighbours: list[list[int]]) -> list[int]:
                 return out
             out.append(nxt)
 
-    placed = [False] * len(neighbours)
+    placed: set[int] = set()
     order: list[int] = []
     for start in range(len(neighbours)):
-        if placed[start]:
+        if start in placed:
             continue
-        root, structure = start, levels(start)
+        structure = levels(start)
         while True:
             candidate = min(structure[-1], key=lambda v: (degree[v], v))
             deeper = levels(candidate)
             if len(deeper) <= len(structure):
                 break
-            root, structure = candidate, deeper
-        placed[root] = True
-        component = [root]
-        for v in component:
-            for w in neighbours[v]:
-                if not placed[w]:
-                    placed[w] = True
-                    component.append(w)
+            structure = deeper
+        component = [v for level in structure for v in level]
+        placed.update(component)
         order.extend(component)
     order.reverse()
     return order
@@ -301,9 +297,9 @@ def _condensed_rhs(band: HeadBand, share: np.ndarray, rhs: np.ndarray) -> np.nda
     return rhs + spread[:-1]
 
 
-def _eliminate(band: HeadBand, weights: np.ndarray, rhs: np.ndarray | None):
-    """Forward block elimination of the condensed matrix with link ``weights``: the one loop of
-    every head solve.
+def _eliminate(band: HeadBand, weights: np.ndarray, rhs: np.ndarray):
+    """Forward block elimination of the condensed matrix with link ``weights`` and right-hand
+    side ``rhs``: the one loop of every head solve and of every factor.
 
     One scatter over ``band`` fills the blocks of the matrix. With diagonal
     blocks ``D_k`` and blocks ``L_k`` below them, the Schur complements are
@@ -316,34 +312,25 @@ def _eliminate(band: HeadBand, weights: np.ndarray, rhs: np.ndarray | None):
 
     Each solve carries the reduced right-hand side ``y_k`` as its first
     column. Returns the solution ``S_k^-1 [y_k | L_k[:m]^T]`` of every step
-    but the last, the last Schur complement after its ``y`` column, and,
-    without ``rhs`` (``y = 0``), the inverse of every Schur complement but
-    the last, which solves the same matrix for later right-hand sides.
+    but the last, and every Schur complement ``S_k`` after its ``y_k``
+    column, as one ``n_blocks x block x (1 + block)`` array.
     """
     s, n = band.block, band.n_blocks
     values = weights[band.pipes]
     values[band.n_diagonal :] *= -1.0
     flat = np.bincount(band.cells, values, minlength=band.lower_starts[-1])
-    diagonal = flat[: n * s * (s + 1)].reshape(n, s, s + 1)
+    schurs = flat[: n * s * (s + 1)].reshape(n, s, s + 1)
     used = len(band.order) - (n - 1) * s  # the rows of the last block that hold consumers
-    np.fill_diagonal(diagonal[-1, used:, 1 + used :], 1.0)
-    inverses = [] if rhs is None else None
-    if rhs is not None:
-        diagonal[:, :, 0] = _blocked(band, rhs)
+    np.fill_diagonal(schurs[-1, used:, 1 + used :], 1.0)
+    schurs[:, :, 0] = _blocked(band, rhs)
 
-    schur, steps = diagonal[0], []
+    steps = []
     for k, m in enumerate(band.n_coupled):
         lower = flat[band.lower_starts[k] : band.lower_starts[k + 1]].reshape(s, 1 + m)
-        lower[:, 0] = schur[:, 0]
-        if inverses is None:
-            step = np.linalg.solve(schur[:, 1:], lower)
-        else:
-            inverses.append(np.linalg.inv(schur[:, 1:]))
-            step = inverses[-1] @ lower
-        steps.append(step)
-        schur = diagonal[k + 1]
-        schur[:m, : 1 + m] -= lower[:, 1:].T @ step
-    return steps, schur, inverses
+        lower[:, 0] = schurs[k, :, 0]
+        steps.append(np.linalg.solve(schurs[k, :, 1:], lower))
+        schurs[k + 1, :m, : 1 + m] -= lower[:, 1:].T @ steps[-1]
+    return steps, schurs
 
 
 def _blocked(band: HeadBand, rhs: np.ndarray) -> np.ndarray:
@@ -381,9 +368,9 @@ def solve_heads(band: HeadBand, weights: np.ndarray, rhs: np.ndarray) -> np.ndar
     along, so nothing outlives the call: each Newton step has new weights.
     """
     links, total, share = _condense(band, weights)
-    steps, last, _ = _eliminate(band, links, _condensed_rhs(band, share, rhs))
+    steps, schurs = _eliminate(band, links, _condensed_rhs(band, share, rhs))
     z = [step[:, 0] for step in steps]
-    z.append(np.linalg.solve(last[:, 1:], last[:, 0]))
+    z.append(np.linalg.solve(schurs[-1, :, 1:], schurs[-1, :, 0]))
     return _back_substitute(band, steps, z, total, share, rhs)
 
 
@@ -392,13 +379,14 @@ class HeadFactor:
     """Condensation and block factors of ``Bc diag(weights) Bc^T``, reusable for any rhs.
 
     ``total`` and ``share`` are the ``G_v`` and ``w / G_v`` of
-    :func:`_condense`. ``steps[k]`` is ``S_k^-1 [0 | L_k[:m]^T]`` from
-    :func:`_eliminate` and ``inverses[k]`` is ``S_k^-1``. Together they hold
-    at most ``2 * n_kept * block`` floats, plus about four per eliminated
-    consumer. On looped grids (``bench/workloads.looped_grid``) that is
-    0.12 MB at 500 consumers (193 eliminated, block 32), 0.84 MB at 2000
-    (791 eliminated, block 56) and 8.9 MB at 10**4 (3979 eliminated, block
-    119), against 0.19, 1.4 and 15 MB for the band of every consumer.
+    :func:`_condense`. ``steps[k]`` is ``S_k^-1 [0 | L_k[:m]^T]``, from
+    :func:`_eliminate` with a zero right-hand side, and ``inverses[k]`` is
+    the inverse of the Schur complement ``S_k`` that it leaves behind.
+    Together they hold at most ``2 * n_kept * block`` floats, plus about four
+    per eliminated consumer. On looped grids (``bench/workloads.looped_grid``)
+    that is 0.12 MB at 500 consumers (193 eliminated, block 32), 0.84 MB at
+    2000 (791 eliminated, block 56) and 8.9 MB at 10**4 (3979 eliminated,
+    block 119), against 0.19, 1.4 and 15 MB for the band of every consumer.
     """
 
     band: HeadBand
@@ -420,10 +408,11 @@ class HeadFactor:
 
 
 def factor_heads(band: HeadBand, weights: np.ndarray) -> HeadFactor:
-    """Factor ``Bc diag(weights) Bc^T`` by the condensation and elimination of ``solve_heads``."""
+    """Factor ``Bc diag(weights) Bc^T``: the condensation and elimination of ``solve_heads`` with a
+    zero right-hand side, then the inverses of the Schur complements that they leave behind."""
     links, total, share = _condense(band, weights)
-    steps, last, inverses = _eliminate(band, links, None)
-    inverses.append(np.linalg.inv(last[:, 1:]))
+    steps, schurs = _eliminate(band, links, np.zeros(band.n_consumers))
+    inverses = list(np.linalg.inv(schurs[:, :, 1:]))
     for arr in (total, share, *steps, *inverses):
         arr.setflags(write=False)
     return HeadFactor(band, total, share, tuple(steps), tuple(inverses))

@@ -51,7 +51,7 @@ from .hydraulics import (
     state_to_json_dict,
 )
 from .band import solve_heads
-from .network import Network, consumer_outflow, finite_numbers, json_number
+from .network import Network, check_json_object, consumer_outflow, finite_numbers, json_number
 from .structure import (
     EdgeDecomposition,
     pipe_positions,
@@ -121,11 +121,7 @@ class ObservationSet:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "ObservationSet":
-        if not isinstance(doc, Mapping):
-            raise FormatError("observation document must be a JSON object")
-        for key in doc:
-            if key not in _SECTIONS:
-                raise FormatError(f"unknown observation section {key!r}")
+        check_json_object(doc, _SECTIONS, "observation", "observation section")
         def section(key: str) -> dict[str, float]:
             raw, where = doc.get(key, {}), f"observation section {key!r}"
             numbers = finite_numbers(raw, raw, where, FormatError)  # first: raw must be a mapping
@@ -209,20 +205,17 @@ def _pipe_drops(
 def _one_per(values, n: int, what: str, per: str) -> np.ndarray:
     """``values`` as a float vector; ``ValueError`` unless it holds one ``what`` per ``per``.
 
-    Unless ``values`` is an ndarray of a real dtype, each entry is read by :func:`json_number`,
-    so a non-number becomes NaN, which the routes' finiteness checks reject.
+    Unless ``values`` is an ndarray of a real dtype, each entry is read by :func:`json_number`, so
+    a non-number becomes NaN; :class:`InvalidObservationError` rejects every non-finite entry.
     """
     if not (isinstance(values, np.ndarray) and values.dtype.kind in "fiu"):
         values = np.frompyfunc(json_number, 1, 1)(np.asarray(values, dtype=object))
     vector = np.asarray(values, dtype=float)
     if vector.shape != (n,):
         raise ValueError(f"need one {what} per {per} ({n})")
+    if not np.isfinite(vector).all():
+        raise InvalidObservationError(f"{what}s must be finite")
     return vector
-
-
-def _require_finite(what: str, values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        raise InvalidObservationError(f"{what} must be finite")
 
 
 def observed_head_loss(net: Network, pipes: np.ndarray, flows: np.ndarray) -> np.ndarray:
@@ -268,8 +261,6 @@ def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theo
 
     ``tol=None`` skips the check, for flows that the walk cannot contradict.
     """
-    _require_finite("observations", heads[grounded])
-    _require_finite("observations", flows)
     loss = np.zeros(net.n_pipes)
     if observed.size:
         loss[observed] = observed_head_loss(net, observed, flows)
@@ -469,8 +460,6 @@ def solve_reservoir_heads_demands(
     opts = options if options is not None else SolverOptions()
     h_r = _one_per(reservoir_heads, net.n_reservoirs, "reservoir head", "reservoir")
     d = _one_per(demands, net.n_consumers, "demand", "consumer")
-    _require_finite("reservoir heads", h_r)
-    _require_finite("demands", d)
 
     r = net.resistances
     x = HAZEN_WILLIAMS_EXPONENT

@@ -16,7 +16,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import FormatError
-from .network import HAZEN_WILLIAMS_EXPONENT, Network, consumer_outflow, finite_numbers
+from .network import (
+    HAZEN_WILLIAMS_EXPONENT, Network, check_json_object, consumer_outflow, finite_numbers,
+)
 
 #: Residual tolerance for accepting an iteratively solved state.
 SOLVER_TOLERANCE = 1e-8
@@ -81,15 +83,10 @@ def state_from_json_dict(net: Network, doc: Mapping) -> HydraulicState:
     three sections and on an id that the section does not index (naming the
     first of either), and on a value that is not a finite JSON number.
     """
-    if not isinstance(doc, Mapping):
-        raise FormatError("state document must be a JSON object")
-    for key in doc:
-        if key not in ("heads", "flows", "demands"):
-            raise FormatError(f"unknown state section {key!r}")
+    sections = {"heads": net.node_ids, "flows": net.pipe_ids, "demands": net.consumer_ids}
+    check_json_object(doc, sections, "state", "state section")
     columns = []
-    for section, ids in (
-        ("heads", net.node_ids), ("flows", net.pipe_ids), ("demands", net.consumer_ids)
-    ):
+    for section, ids in sections.items():
         try:
             values = finite_numbers(doc[section], ids, f"state section {section!r}", FormatError)
             if len(doc[section]) > len(ids):

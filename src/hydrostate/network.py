@@ -112,6 +112,15 @@ def finite_numbers(values: Mapping, keys: Collection, where: str, error: type) -
     return numbers
 
 
+def check_json_object(doc, keys: Collection[str], what: str, key_kind: str) -> None:
+    """Raise :class:`FormatError` unless ``doc`` is a mapping with no key outside ``keys``."""
+    if not isinstance(doc, Mapping):
+        raise FormatError(f"{what} document must be a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise FormatError(f"unknown {key_kind} {key!r}")
+
+
 def _parameters(given: Sequence, prefix: str = "") -> list[float]:
     """:func:`json_number` of a length, diameter and roughness; each must be finite and > 0."""
     numbers = [json_number(v) for v in given]
@@ -435,11 +444,7 @@ def network_from_json_dict(doc: Mapping) -> Network:
     :class:`FormatError`. The entries go straight into columns for
     :func:`network_from_columns`.
     """
-    if not isinstance(doc, Mapping):
-        raise FormatError("network document must be a JSON object")
-    for key in doc:
-        if key not in ("nodes", "pipes"):
-            raise FormatError(f"unknown network document key {key!r}")
+    check_json_object(doc, ("nodes", "pipes"), "network", "network document key")
     try:
         raw_nodes = doc["nodes"]
         raw_pipes = doc["pipes"]

@@ -8,7 +8,9 @@ with every reservoir merged into one ground node, so a set of pipe columns is
 independent exactly when those pipes form a forest in that grounded graph.
 Forest selection is therefore one union-find pass over the pipes. Every
 structure here reads the pipe end indices; the dense incidence matrix and
-exact elimination on it are the test oracles of :mod:`hydrostate.exact`.
+exact elimination on it are the test oracles of :mod:`hydrostate.exact`,
+except that :func:`cycle_space_basis` still runs ``_solve_rational`` until
+the tree-path cycle basis of ROADMAP item 2 replaces it.
 """
 
 from __future__ import annotations
@@ -23,15 +25,6 @@ from .band import consumer_ends
 
 if TYPE_CHECKING:
     from .network import Network
-
-
-def __getattr__(name: str):
-    """``integer_determinant`` of :mod:`hydrostate.exact`, which loads only when it is asked for."""
-    if name == "integer_determinant":
-        from .exact import integer_determinant
-
-        return integer_determinant
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from hydrostate import (
     symmetric_expansion,
 )
 from hydrostate import completion
-from hydrostate.structure import integer_determinant
+from hydrostate.exact import integer_determinant
 from hydrostate.testkit import random_ground_truth_state
 
 from conftest import (

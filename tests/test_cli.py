@@ -78,6 +78,22 @@ class TestUsageAndFileErrors:
         code, _ = invoke(capsys, ["validate", bad])
         assert code == 65
 
+    @pytest.mark.parametrize(
+        "command, option, what",
+        [("validate", None, "network"), ("analyze", "--pattern", "observation"),
+         ("solve", "--obs", "observation"), ("check", "--state", "state")],
+    )
+    def test_document_that_is_not_an_object(
+        self, capsys, tmp_path, triangle_file, command, option, what
+    ):
+        array = write_json(tmp_path / "array.json", [{"heads": {}}])
+        argv = [command, array] if option is None else [command, triangle_file, option, array]
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code == 65
+        assert captured.out == ""
+        assert f"{what} document must be a JSON object" in captured.err
+
     def test_unknown_observation_id(self, capsys, tmp_path, net_file):
         obs = write_json(tmp_path / "obs.json", {"heads": {"nope": 1.0}})
         code, payload = invoke(capsys, ["solve", net_file, "--obs", obs])
@@ -398,6 +414,23 @@ class TestSolve:
         assert payload["error"] == "no_convergence"
         assert payload["iterations"] == 0
         assert payload["residual"] is None
+
+    def test_singular_newton_step_exit_3(self, capsys, monkeypatch, tmp_path, triangle_file):
+        def singular(layout, weights, rhs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(completion, "solve_heads", singular)
+        obs = write_json(
+            tmp_path / "obs.json", {"heads": {"R": 100.0}, "demands": {"c1": 0.5, "c2": 0.5}}
+        )
+        code = run_cli(["solve", triangle_file, "--obs", obs])
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert code == 3
+        assert payload["error"] == "no_convergence"
+        assert payload["iterations"] == 0
+        assert payload["residual"] > 0
+        assert captured.err == ""
 
     def test_not_covered_exit_4(self, capsys, tmp_path, triangle_file):
         obs = write_json(tmp_path / "obs.json", {"demands": {"c1": 0.5}})

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hydrostate import (
@@ -481,6 +481,11 @@ class TestObservationSet:
         with pytest.raises(FormatError, match=re.escape(message)):
             ObservationSet.from_json_dict({section: {"X": value}})
 
+    @pytest.mark.parametrize("doc", [[], [{"heads": {}}], "heads", None])
+    def test_json_document_must_be_an_object(self, doc):
+        with pytest.raises(FormatError, match="^observation document must be a JSON object$"):
+            ObservationSet.from_json_dict(doc)
+
     @pytest.mark.parametrize("key", [1, None, ("P", 1)])
     def test_json_rejects_non_string_ids(self, key):
         with pytest.raises(FormatError, match="non-string id"):
@@ -555,6 +560,53 @@ class TestNonFiniteInput:
     def test_observation_document_rejects(self, section, bad):
         with pytest.raises(FormatError, match="non-finite"):
             ObservationSet.from_json_dict({section: {"x": bad}})
+
+
+@pytest.mark.parametrize(
+    "route, message",
+    [
+        (lambda net: complete_from_heads(net, [100.0, np.nan, 98.0]), "heads"),
+        (lambda net: complete_from_reservoir_heads_and_flows(net, [100.0], [1.0, np.inf, 0.5]),
+         "flows"),
+        (lambda net: complete_from_reservoir_heads_and_flows(net, [np.nan], [1.0, 0.5, 0.5]),
+         "reservoir heads"),
+        (lambda net: solve_reservoir_heads_demands(net, [100.0], [0.5, -np.inf]), "demands"),
+        # The first vector read raises first, also when a later one has the wrong length.
+        (lambda net: complete_from_reservoir_heads_and_flows(net, [np.nan], [1.0, 0.5]),
+         "reservoir heads"),
+        (lambda net: solve_reservoir_heads_demands(net, [np.nan], [0.5, 0.5, 0.5]),
+         "reservoir heads"),
+        (lambda net: complete_from_forest_flows(net, [np.nan], {"e1": 1.0, "e2": 0.5}),
+         "reservoir heads"),
+    ],
+    ids=["heads", "flows", "reservoir_heads", "demands", "nan_head_short_flows",
+         "nan_head_long_demands", "forest_reservoir_heads"],
+)
+def test_each_vector_is_checked_where_it_is_read(triangle_net, route, message):
+    with pytest.raises(InvalidObservationError, match=f"^{message} must be finite$"):
+        route(triangle_net)
+
+
+@pytest.mark.parametrize("fail_at", [1, 2])
+def test_a_singular_newton_step_does_not_converge(monkeypatch, fail_at):
+    net = random_connected_wds(GeneratorConfig(seed=3, n_consumers=6, extra_edges=3))
+    truth = random_ground_truth_state(net, seed=1)
+    h_r = truth.reservoir_heads(net)
+    assert solve_reservoir_heads_demands(net, h_r, truth.demands).iterations >= fail_at
+    calls, solve_heads = [], completion.solve_heads
+
+    def failing(layout, weights, rhs):
+        calls.append(rhs)
+        if len(calls) == fail_at:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve_heads(layout, weights, rhs)
+
+    monkeypatch.setattr(completion, "solve_heads", failing)
+    with pytest.raises(NonConvergenceError) as exc_info:
+        solve_reservoir_heads_demands(net, h_r, truth.demands)
+    assert exc_info.value.iterations == fail_at - 1
+    assert exc_info.value.__suppress_context__
+    assert SolverOptions().tolerance < exc_info.value.residual < np.inf
 
 
 # --- the dense Newton step as oracle ------------------------------------------
@@ -879,6 +931,65 @@ class TestBandedHeadSolve:
                 band.factor_heads(path3_net.head_band, weights)
             else:
                 band.solve_heads(path3_net.head_band, weights, np.ones(3))
+
+
+def numbered_by_second_search(neighbours):
+    """Reverse Cuthill-McKee that numbers each component by a breadth-first pass of its own
+    from the pseudo-peripheral root, where ``band`` reads the root's level structure."""
+    degree = [len(nb) for nb in neighbours]
+    neighbours = [sorted(nb, key=lambda v: (degree[v], v)) for nb in neighbours]
+
+    def levels(root):
+        seen, out = {root}, [[root]]
+        while True:
+            nxt = []
+            for v in out[-1]:
+                for w in neighbours[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+            if not nxt:
+                return out
+            out.append(nxt)
+
+    placed, order = [False] * len(neighbours), []
+    for start in range(len(neighbours)):
+        if placed[start]:
+            continue
+        root, structure = start, levels(start)
+        while True:
+            candidate = min(structure[-1], key=lambda v: (degree[v], v))
+            deeper = levels(candidate)
+            if len(deeper) <= len(structure):
+                break
+            root, structure = candidate, deeper
+        placed[root] = True
+        component = [root]
+        for v in component:
+            for w in neighbours[v]:
+                if not placed[w]:
+                    placed[w] = True
+                    component.append(w)
+        order.extend(component)
+    return order[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=60),
+)
+@example(n=10, pairs=[(0, 1), (1, 2), (4, 5), (5, 6), (6, 4), (9, 7), (7, 2)])
+def test_reverse_cuthill_mckee_numbers_each_component_by_its_levels(n, pairs):
+    # Sparse random graphs: several components, isolated nodes among them.
+    neighbours = [set() for _ in range(n)]
+    for a, b in pairs:
+        if a != b and max(a, b) < n:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    expected = numbered_by_second_search([list(nb) for nb in neighbours])
+    assert band._reverse_cuthill_mckee([list(nb) for nb in neighbours]) == expected
+    assert sorted(expected) == list(range(n))
 
 
 class TestLinearHeadFactor:

@@ -130,6 +130,13 @@ class TestMonotonicityGap:
         q = np.array([1.234])
         assert monotonicity_gap(single_pipe_net, q, q) == 0.0
 
+    @pytest.mark.parametrize("shape", [(0,), (2,), (1, 1)])
+    def test_shape_mismatch(self, single_pipe_net, shape):
+        message = r"^flow vectors must have one entry per pipe \(1\)$"
+        for args in ((np.ones(shape), np.ones(1)), (np.ones(1), np.ones(shape))):
+            with pytest.raises(ValueError, match=message):
+                monotonicity_gap(single_pipe_net, *args)
+
     def test_scalar_references(self):
         from hydrostate import build_network, params_for_resistance
 
@@ -198,6 +205,11 @@ class TestSymmetricExpansion:
             doubled = B_sym[consumer_rows] @ q_sym
             assert np.max(np.abs(doubled - (-2.0 * state.demands))) <= 1e-12
 
+    @pytest.mark.parametrize("flows", [np.ones(2), np.ones(4), np.ones((3, 1)), 1.0])
+    def test_shape_mismatch(self, triangle_net, flows):
+        with pytest.raises(ValueError, match=r"^flow vector must have one entry per pipe \(3\)$"):
+            symmetric_expansion(triangle_net, flows)
+
 
 def test_state_json_round_trip(triangle_net):
     state = random_ground_truth_state(triangle_net, seed=2)
@@ -218,6 +230,12 @@ def test_state_json_rejects_non_numbers(triangle_net, section, value):
     key = next(iter(doc[section]))
     doc[section][key] = value
     with pytest.raises(FormatError, match=f"non-numeric value .* at {key!r} in state section"):
+        state_from_json_dict(triangle_net, doc)
+
+
+@pytest.mark.parametrize("doc", [[], [{"heads": {}}], "heads", None])
+def test_state_json_must_be_an_object(triangle_net, doc):
+    with pytest.raises(FormatError, match="^state document must be a JSON object$"):
         state_from_json_dict(triangle_net, doc)
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
@@ -228,6 +229,11 @@ class TestIncidenceMatrix:
         B = incidence_matrix(triangle_net)
         with pytest.raises(UnknownNodeError):
             B.restrict(nodes=("nope",))
+
+    def test_restrict_unknown_pipe(self, triangle_net):
+        B = incidence_matrix(triangle_net)
+        with pytest.raises(UnknownNodeError, match="^unknown pipe id: 'nope'$"):
+            B.restrict(nodes=("c1",), pipes=("e1", "nope"))
 
     def test_entries_read_only(self, triangle_net):
         B = incidence_matrix(triangle_net)
@@ -528,6 +534,22 @@ class TestStrictJson:
         "pipes": [{"id": "P", "from": "R", "to": "J", "length_m": 10, "diameter_m": 0.3,
                    "roughness": 100}],
     }
+
+    @pytest.mark.parametrize("doc", [[], [DOC], "nodes", None, 3])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(FormatError, match="^network document must be a JSON object$"):
+            network_from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["nodes", "pipes"])
+    def test_document_needs_both_sections(self, key):
+        doc = {k: v for k, v in self.DOC.items() if k != key}
+        with pytest.raises(FormatError, match=f"^network document missing key '{key}'$"):
+            network_from_json_dict(doc)
+
+    @pytest.mark.parametrize("entry", [["P", "R", "J", 10, 0.3, 100], "P", None, 7])
+    def test_pipe_entry_must_be_an_object(self, entry):
+        with pytest.raises(FormatError, match=f"^malformed pipe entry: {re.escape(repr(entry))}$"):
+            network_from_json_dict({**self.DOC, "pipes": [self.DOC["pipes"][0], entry]})
 
     def test_integers_are_read_as_floats(self):
         net = network_from_json_dict(self.DOC)
