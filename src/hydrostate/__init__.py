@@ -12,7 +12,6 @@ from .completion import (
     CompletionMethod,
     ObservationSet,
     SolveReport,
-    SolverOptions,
     complete_from_forest_flows,
     complete_from_heads,
     complete_from_reservoir_heads_and_flows,

@@ -387,6 +387,15 @@ class HeadFactor:
     that is 0.12 MB at 500 consumers (193 eliminated, block 32), 0.84 MB at
     2000 (791 eliminated, block 56) and 8.9 MB at 10**4 (3979 eliminated,
     block 119), against 0.19, 1.4 and 15 MB for the band of every consumer.
+
+    The inverses cost a second LU of each ``S_k`` after the one behind its
+    step, and buy a :meth:`solve` of matrix products alone. Keeping the
+    ``S_k`` instead, and solving them in one batched call per :meth:`solve`,
+    was measured on the same grids (2-vCPU host, one BLAS thread, medians of
+    warm runs): the factor took 0.44, 2.5 and 19 ms rather than 0.83, 5.9
+    and 66 ms, but each solve took 0.23, 1.1 and 6.1 ms rather than 0.11,
+    0.26 and 0.94 ms. A network is factored once, and every demand-driven
+    solve starts with one :meth:`solve`, so the inverses stay.
     """
 
     band: HeadBand
@@ -409,7 +418,11 @@ class HeadFactor:
 
 def factor_heads(band: HeadBand, weights: np.ndarray) -> HeadFactor:
     """Factor ``Bc diag(weights) Bc^T``: the condensation and elimination of ``solve_heads`` with a
-    zero right-hand side, then the inverses of the Schur complements that they leave behind."""
+    zero right-hand side, then the inverses of the Schur complements that they leave behind.
+
+    The batched inverse repeats the LU of each block, which makes this call
+    slower and every :meth:`HeadFactor.solve` faster (measured there).
+    """
     links, total, share = _condense(band, weights)
     steps, schurs = _eliminate(band, links, np.zeros(band.n_consumers))
     inverses = list(np.linalg.inv(schurs[:, :, 1:]))

@@ -19,7 +19,9 @@ import math
 import sys
 from typing import Any
 
-from .completion import CompletionMethod, ObservationSet, require_tolerance
+from .completion import (
+    MAX_ITERATIONS, CompletionMethod, ObservationSet, require_iterations, require_tolerance,
+)
 from .errors import (
     FormatError,
     InconsistentObservationsError,
@@ -102,11 +104,11 @@ def iteration_count(text: str) -> int:
     """``--max-iter`` value: an integer >= 0; anything else is a usage error (exit 64)."""
     try:
         value = int(text)
+        require_iterations(value)
     except ValueError:
-        value = -1
-    if value >= 0:
-        return value
-    raise argparse.ArgumentTypeError(f"iteration count must be an integer >= 0, got {text!r}")
+        message = f"iteration count must be an integer >= 0, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--tol", type=tolerance, default=None)
-    p.add_argument("--max-iter", type=iteration_count, default=100)
+    p.add_argument("--max-iter", type=iteration_count, default=MAX_ITERATIONS)
 
     p = sub.add_parser("check", help="check a state against the hydraulic principles")
     p.add_argument("network")
@@ -166,7 +168,7 @@ def run_cli(argv: list[str]) -> int:
             _emit({"valid": False, "error": type(exc).__name__, "message": str(exc)})
             return EXIT_FAILED_CHECK
         return _NETWORK_COMMANDS[args.command](args, net)
-    except (OSError, FormatError) as exc:
+    except (OSError, FormatError, InvalidObservationError) as exc:
         _diag(str(exc))
         return EXIT_FILE
 
@@ -185,13 +187,8 @@ def _cmd_validate(args, net: Network) -> int:
 
 
 def _cmd_analyze(args, net: Network) -> int:
-    try:
-        pattern = ObservationSet.from_json_dict(_load_json(args.pattern))
-        verdict = classify_observation_pattern(net, pattern)
-    except InvalidObservationError as exc:
-        _diag(str(exc))
-        return EXIT_FILE
-    _emit(verdict.to_json_dict())
+    pattern = ObservationSet.from_json_dict(_load_json(args.pattern))
+    _emit(classify_observation_pattern(net, pattern).to_json_dict())
     return EXIT_OK
 
 
@@ -210,9 +207,6 @@ def _cmd_solve(args, net: Network) -> int:
             }
         )
         return EXIT_NOT_COVERED
-    except InvalidObservationError as exc:
-        _diag(str(exc))
-        return EXIT_FILE
     except InconsistentObservationsError as exc:
         _emit(
             {

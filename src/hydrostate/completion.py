@@ -141,18 +141,8 @@ ZERO_FLOW_EPSILON = 1e-8
 MAX_STEP_HALVINGS = 30
 #: A stalled residual at most this times its largest head term is float rounding alone.
 FLOAT_RESOLUTION = 16 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Iteration budget and residual tolerance of the demand-driven solver."""
-
-    max_iterations: int = 100
-    tolerance: float = SOLVER_TOLERANCE
-
-    def __post_init__(self):
-        require_tolerance(self.tolerance)
-        require_iterations(self.max_iterations)
+#: Default Newton iteration budget of the demand-driven solver.
+MAX_ITERATIONS = 100
 
 
 def require_tolerance(tol: float) -> None:
@@ -432,7 +422,8 @@ def solve_reservoir_heads_demands(
     net: Network,
     reservoir_heads: np.ndarray,
     demands: np.ndarray,
-    options: SolverOptions | None = None,
+    tol: float = SOLVER_TOLERANCE,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> SolveReport:
     """Solve for consumer heads and flows given reservoir heads and demands.
 
@@ -451,13 +442,16 @@ def solve_reservoir_heads_demands(
     once per network and cached as :attr:`Network.linear_head_factor`. The
     head-loss derivative vanishes at zero flow, so ``D`` clamps ``|q|`` from
     below by ``ZERO_FLOW_EPSILON``; the residual itself always uses the exact
-    nonlinearity, so the converged state is unbiased. Raises
+    nonlinearity, so the converged state is unbiased. The iteration stops once
+    the largest residual is at most ``tol``. Raises ``ValueError`` unless
+    ``tol`` is a finite number >= 0 and ``max_iterations`` an integer >= 0,
     :class:`InvalidObservationError` on non-finite heads or demands and
     :class:`NonConvergenceError` when the start's residual is not finite, the
-    iteration budget runs out or no damped step decreases the residual (saying
-    so when that residual is at the float resolution of the heads).
+    ``max_iterations`` budget runs out or no damped step decreases the residual
+    (saying so when that residual is at the float resolution of the heads).
     """
-    opts = options if options is not None else SolverOptions()
+    require_tolerance(tol)
+    require_iterations(max_iterations)
     h_r = _one_per(reservoir_heads, net.n_reservoirs, "reservoir head", "reservoir")
     d = _one_per(demands, net.n_consumers, "demand", "consumer")
 
@@ -478,8 +472,8 @@ def solve_reservoir_heads_demands(
         raise NonConvergenceError(0, norm)
 
     iterations = 0
-    while norm > opts.tolerance:
-        if iterations >= opts.max_iterations:
+    while norm > tol:
+        if iterations >= max_iterations:
             raise NonConvergenceError(iterations, norm)
         slope = x * r * np.maximum(np.abs(q), ZERO_FLOW_EPSILON) ** (x - 1.0)
         try:

@@ -74,8 +74,10 @@ def resistance(params: PipeParams) -> float:
 
     Raises :class:`NonpositiveParameterError`, as the validator does, for a
     parameter that is not a finite positive number by :func:`json_number`.
-    Otherwise positive; inf or NaN where a power overflows and 0.0 where it
-    underflows, bit for bit as :attr:`Network.resistances` computes it.
+    Otherwise positive, bit for bit as :attr:`Network.resistances` computes it:
+    a product that leaves the float range midway is taken again by mantissas
+    and exponents, so it is inf, NaN or 0.0 only where the resistance itself
+    or one of its powers overflows or underflows.
     :func:`network_from_columns` rejects all three.
     """
     values = _parameters([getattr(params, name) for name in _PARAMETERS])
@@ -150,14 +152,25 @@ def _power(value: float, exponent: float) -> float:
 
 
 def _resistances(lengths: np.ndarray, diameters: np.ndarray, roughnesses: np.ndarray) -> np.ndarray:
-    """:func:`resistance` of every pipe; inf or NaN where it overflows, 0 where it underflows."""
+    """:func:`resistance` of every pipe; inf, NaN or 0 where it or a power leaves the float range.
+
+    The product runs left to right. Where it leaves the float range midway, it
+    is taken again over the factors' mantissas, scaled by the sum of their
+    binary exponents, so that only a result out of range is inf or 0.
+    """
+    factors = (
+        lengths,
+        _powers(diameters, RESISTANCE_DIAMETER_EXPONENT),
+        _powers(roughnesses, -HAZEN_WILLIAMS_EXPONENT),
+    )
     with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            RESISTANCE_COEFFICIENT
-            * lengths
-            * _powers(diameters, RESISTANCE_DIAMETER_EXPONENT)
-            * _powers(roughnesses, -HAZEN_WILLIAMS_EXPONENT)
-        )
+        r = RESISTANCE_COEFFICIENT * factors[0] * factors[1] * factors[2]
+        redo = ~(np.isfinite(r) & (r > 0))
+        if redo.any():
+            mantissas, exponents = np.frexp(np.stack([f[redo] for f in factors]))
+            scaled = RESISTANCE_COEFFICIENT * mantissas.prod(axis=0)
+            r[redo] = np.ldexp(scaled, exponents.sum(axis=0))
+    return r
 
 
 @dataclass(frozen=True, eq=False)

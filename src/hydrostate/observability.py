@@ -11,12 +11,13 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .completion import (
-    DEFAULT_IMAGE_TOL, CompletionMethod, ObservationSet, SolveReport, SolverOptions,
+    DEFAULT_IMAGE_TOL, MAX_ITERATIONS, CompletionMethod, ObservationSet, SolveReport,
     _forest_flows_route, check_observations, complete_from_heads,
     complete_from_reservoir_heads_and_flows, require_iterations, require_tolerance,
     solve_reservoir_heads_demands,
 )
 from .errors import NotCoveredError
+from .hydraulics import SOLVER_TOLERANCE
 from .network import Network
 from .structure import greedy_independent_columns
 
@@ -114,12 +115,13 @@ _ROUTES = {
 
 def complete(
     net: Network, obs: ObservationSet, theorem: CompletionMethod | str | None = None,
-    tol: float | None = None, max_iterations: int = SolverOptions.max_iterations,
+    tol: float | None = None, max_iterations: int = MAX_ITERATIONS,
 ) -> SolveReport:
     """Complete the state by one route (by default the classifier's), then check every observation.
 
     ``theorem`` is a :class:`CompletionMethod` or its value. ``tol`` (default
-    ``DEFAULT_IMAGE_TOL``, or the solver's when demand-driven) serves both. Raises
+    ``DEFAULT_IMAGE_TOL``, or ``SOLVER_TOLERANCE`` when demand-driven) serves both, and
+    the demand-driven solve takes it and ``max_iterations`` as they are. Raises
     :class:`NotCoveredError` when no route applies, besides the errors of the route, and
     ``ValueError`` when ``theorem`` names no route, ``tol`` is not a finite number >= 0 or
     ``max_iterations`` an integer >= 0.
@@ -138,7 +140,7 @@ def complete(
         obs.validate(net)
     if tol is None:
         demand_driven = theorem is CompletionMethod.DEMAND_DRIVEN
-        tol = SolverOptions.tolerance if demand_driven else DEFAULT_IMAGE_TOL
+        tol = SOLVER_TOLERANCE if demand_driven else DEFAULT_IMAGE_TOL
     if theorem is CompletionMethod.ALL_HEADS:
         report = complete_from_heads(net, obs.head_vector(net))
     elif theorem is CompletionMethod.HEADS_AND_FLOWS:
@@ -147,8 +149,7 @@ def complete(
         obs = replace(obs, flows={})  # the route has checked every flow
     elif theorem is CompletionMethod.DEMAND_DRIVEN:
         h_r, d = obs.reservoir_head_vector(net), obs.demand_vector(net)
-        options = SolverOptions(max_iterations=max_iterations, tolerance=tol)
-        report = solve_reservoir_heads_demands(net, h_r, d, options)
+        report = solve_reservoir_heads_demands(net, h_r, d, tol, max_iterations)
     elif theorem is CompletionMethod.FOREST_FLOWS:
         grounded = sorted(map(net.node_index.__getitem__, obs.heads))
         if forest is None:

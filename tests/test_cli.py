@@ -20,7 +20,7 @@ from hydrostate import (
     state_to_json_dict,
     structure,
 )
-from hydrostate.cli import _emit, run_cli
+from hydrostate.cli import _emit, build_parser, run_cli
 from hydrostate.testkit import GeneratorConfig, random_connected_wds, random_ground_truth_state
 
 SINGLE_PIPE_HEAD = 99.44598382606754  # 100 - 2 * 0.5**1.852, 50-digit evaluation
@@ -603,6 +603,10 @@ class TestMaxIter:
         code, payload = invoke(capsys, [*argv, "--max-iter", "50"])
         assert code == 0
         assert payload["theorem"] == "demand_driven"
+
+    def test_default_iteration_count_is_the_solver_budget(self):
+        args = build_parser().parse_args(["solve", "net.json", "--obs", "obs.json"])
+        assert args.max_iter is completion.MAX_ITERATIONS
 
 
 class TestStrictParsing:

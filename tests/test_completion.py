@@ -1,5 +1,6 @@
 """Tests for the four state-completion solvers and their round-trip closure."""
 
+import inspect
 import itertools
 import re
 import tracemalloc
@@ -22,7 +23,6 @@ from hydrostate import (
     NonConvergenceError,
     ObservationOverflowError,
     ObservationSet,
-    SolverOptions,
     UnknownNodeError,
     build_network,
     classify_observation_pattern,
@@ -131,15 +131,19 @@ class TestCompleteFromReservoirHeadsAndFlows:
         with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
             complete_from_reservoir_heads_and_flows(triangle_net, h_r, truth.flows, tol)
         with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
-            SolverOptions(tolerance=tol)
-        SolverOptions(tolerance=0.0)
+            solve_reservoir_heads_demands(triangle_net, h_r, truth.demands, tol)
+        with pytest.raises(NonConvergenceError):  # 0.0 is accepted; a budget of 0 takes no step
+            solve_reservoir_heads_demands(triangle_net, h_r, truth.demands, 0.0, 0)
         complete_from_reservoir_heads_and_flows(triangle_net, h_r, truth.flows, 1e-6)
 
 
-def test_solver_options_reject_negative_iterations():
+def test_demand_driven_solve_rejects_negative_iterations(triangle_net):
+    args = (triangle_net, [100.0], [0.1, 0.2])
     with pytest.raises(ValueError, match="max_iterations must be an integer >= 0, got -1"):
-        SolverOptions(max_iterations=-1)
-    assert SolverOptions(max_iterations=0).max_iterations == 0
+        solve_reservoir_heads_demands(*args, max_iterations=-1)
+    with pytest.raises(NonConvergenceError) as exc_info:
+        solve_reservoir_heads_demands(*args, max_iterations=0)
+    assert exc_info.value.iterations == 0
 
 
 def test_complete_rejects_negative_max_iterations(triangle_net):
@@ -162,13 +166,13 @@ def test_tolerance_and_iteration_count_follow_the_number_rule(value):
     truth = random_ground_truth_state(net, seed=1)
     obs = ObservationSet(heads=dict(zip(net.node_ids, truth.heads.tolist())))
     iterations = re.escape(f"max_iterations must be an integer >= 0, got {value!r}")
+    h_r = truth.reservoir_heads(net)
     with pytest.raises(ValueError, match=iterations):
-        SolverOptions(max_iterations=value)
+        solve_reservoir_heads_demands(net, h_r, truth.demands, max_iterations=value)
     with pytest.raises(ValueError, match=iterations):
         complete(net, obs, max_iterations=value)
 
-    h_r = truth.reservoir_heads(net)
-    calls = [lambda: SolverOptions(tolerance=value),
+    calls = [lambda: solve_reservoir_heads_demands(net, h_r, truth.demands, value),
              lambda: complete_from_reservoir_heads_and_flows(net, h_r, truth.flows, value)]
     if value is not None:  # complete() reads None as its default tolerance
         calls.append(lambda: complete(net, obs, tol=value))
@@ -312,10 +316,9 @@ class TestSolveReservoirHeadsDemands:
 
     def test_non_convergence_error(self, monkeypatch, triangle_net):
         monkeypatch.setattr(completion, "_initial_point", flat_start)
-        opts = SolverOptions(max_iterations=1)
         with pytest.raises(NonConvergenceError) as exc_info:
             solve_reservoir_heads_demands(
-                triangle_net, np.array([100.0]), np.array([5.0, 7.0]), opts
+                triangle_net, np.array([100.0]), np.array([5.0, 7.0]), max_iterations=1
             )
         assert exc_info.value.iterations == 1
         assert exc_info.value.residual > 0.0
@@ -399,13 +402,36 @@ def test_stall_at_float_resolution_says_so():
         str(error),
     )
     with pytest.warns(UserWarning, match="negative consumer heads"):
-        assert solve_reservoir_heads_demands(*args, SolverOptions(tolerance=1e-4)).iterations == 4
+        assert solve_reservoir_heads_demands(*args, tol=1e-4).iterations == 4
 
     # A budget that runs out keeps its message.
     with pytest.raises(NonConvergenceError) as budget:
-        solve_reservoir_heads_demands(*args, SolverOptions(max_iterations=1))
+        solve_reservoir_heads_demands(*args, max_iterations=1)
     error = budget.value
     assert str(error) == f"no convergence after 1 iterations (residual {error.residual:.6e})"
+
+
+def test_complete_hands_its_tol_and_max_iterations_to_the_demand_driven_solve():
+    # The stalling network above, reached through the dispatch.
+    net = random_connected_wds(GeneratorConfig(0, n_reservoirs=1, n_consumers=8, extra_edges=3))
+    truth = random_ground_truth_state(net, 0)
+    h_r, d = truth.reservoir_heads(net), 1e4 * truth.demands
+    obs = ObservationSet(heads=dict(zip(net.reservoir_ids, h_r.tolist())),
+                         demands=dict(zip(net.consumer_ids, d.tolist())))
+    with pytest.warns(UserWarning, match="negative consumer heads"):
+        direct = solve_reservoir_heads_demands(net, h_r, d, tol=1e-4)
+    with pytest.warns(UserWarning, match="negative consumer heads"):
+        report = complete(net, obs, tol=1e-4)
+    assert report.iterations == direct.iterations == 4
+    for part in ("heads", "flows", "demands"):
+        assert getattr(report.state, part).tobytes() == getattr(direct.state, part).tobytes()
+
+    with pytest.raises(NonConvergenceError) as budget:
+        complete(net, obs, max_iterations=1)
+    assert budget.value.iterations == 1
+    for function in (complete, solve_reservoir_heads_demands):
+        default = inspect.signature(function).parameters["max_iterations"].default
+        assert default is completion.MAX_ITERATIONS == 100
 
 
 class TestOverflowingFlows:
@@ -606,7 +632,7 @@ def test_a_singular_newton_step_does_not_converge(monkeypatch, fail_at):
         solve_reservoir_heads_demands(net, h_r, truth.demands)
     assert exc_info.value.iterations == fail_at - 1
     assert exc_info.value.__suppress_context__
-    assert SolverOptions().tolerance < exc_info.value.residual < np.inf
+    assert completion.SOLVER_TOLERANCE < exc_info.value.residual < np.inf
 
 
 # --- the dense Newton step as oracle ------------------------------------------

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,13 @@ from hydrostate import (
     network_to_json_dict,
     resistance,
 )
-from hydrostate.network import NodeRole, _resistances
+from hydrostate.network import (
+    HAZEN_WILLIAMS_EXPONENT,
+    RESISTANCE_COEFFICIENT,
+    RESISTANCE_DIAMETER_EXPONENT,
+    NodeRole,
+    _resistances,
+)
 from hydrostate.structure import join_sets
 from hydrostate.exact import integer_rank
 
@@ -173,6 +180,36 @@ class TestResistance:
         assert resistance(params) == column[0] == expected
         with pytest.raises(NonpositiveParameterError, match="resistance must be finite"):
             build_network([("R", "reservoir"), ("c1", "consumer")], [("p", "R", "c1", params)])
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PipeParams(6.7e307, 0.3, 100.0),  # 10.67 * length overflows first
+            PipeParams(5e-324, 2.6, 1e-100),  # 10.67 * length * diameter factor underflows first
+        ],
+        ids=["overflow_midway", "underflow_midway"],
+    )
+    def test_a_product_out_of_range_midway_is_taken_again(self, params):
+        net = build_network([("R", "reservoir"), ("J", "consumer")], [("P", "R", "J", params)])
+        column = _resistances(*(np.array([v]) for v in (params.length, params.diameter,
+                                                         params.roughness)))
+        assert resistance(params) == net.resistances[0] == column[0]
+        factors = (RESISTANCE_COEFFICIENT, params.length,
+                   params.diameter**RESISTANCE_DIAMETER_EXPONENT,
+                   params.roughness**-HAZEN_WILLIAMS_EXPONENT)
+        exact = float(math.prod(map(Fraction, factors)))
+        assert math.isfinite(exact) and exact > 0
+        assert resistance(params) == pytest.approx(exact, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "params, shown",
+        [(PipeParams(1.7e308, 0.01, 100.0), "inf"), (PipeParams(5e-324, 1e3, 1e3), "0.0")],
+        ids=["overflow", "underflow"],
+    )
+    def test_a_resistance_out_of_range_is_still_rejected(self, params, shown):
+        assert str(resistance(params)) == shown
+        with pytest.raises(NonpositiveParameterError, match=f"resistance .* got {shown} "):
+            build_network([("R", "reservoir"), ("J", "consumer")], [("P", "R", "J", params)])
 
     @pytest.mark.parametrize("value", [-1.0, -0.3, 0.0, float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("field", ["length", "diameter", "roughness"])
