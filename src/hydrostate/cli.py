@@ -86,29 +86,24 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return doc
 
 
-def _load_network(path: str) -> Network:
-    return network_from_json_dict(_load_json(path))
+def _argument(convert, require, rule: str):
+    """An argparse type: ``convert`` the text, ``require`` the value, else exit 64 with ``rule``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+            require(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}") from None
+        return value
+
+    return parse
 
 
-def tolerance(text: str) -> float:
-    """``--tol`` value: a finite number >= 0; anything else is a usage error (exit 64)."""
-    try:
-        value = float(text)
-        require_tolerance(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}") from None
-    return value
-
-
-def iteration_count(text: str) -> int:
-    """``--max-iter`` value: an integer >= 0; anything else is a usage error (exit 64)."""
-    try:
-        value = int(text)
-        require_iterations(value)
-    except ValueError:
-        message = f"iteration count must be an integer >= 0, got {text!r}"
-        raise argparse.ArgumentTypeError(message) from None
-    return value
+#: ``--tol`` value: a finite number >= 0.
+tolerance = _argument(float, require_tolerance, "tolerance must be finite and >= 0")
+#: ``--max-iter`` value: an integer >= 0.
+iteration_count = _argument(int, require_iterations, "iteration count must be an integer >= 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +157,7 @@ def run_cli(argv: list[str]) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         try:
-            net = _load_network(args.network)
+            net = network_from_json_dict(_load_json(args.network))
         except NetworkValidationError as exc:
             # Every subcommand that reads a network reports an invalid one alike.
             _emit({"valid": False, "error": type(exc).__name__, "message": str(exc)})

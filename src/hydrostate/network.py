@@ -75,10 +75,10 @@ def resistance(params: PipeParams) -> float:
     Raises :class:`NonpositiveParameterError`, as the validator does, for a
     parameter that is not a finite positive number by :func:`json_number`.
     Otherwise positive, bit for bit as :attr:`Network.resistances` computes it:
-    a product that leaves the float range midway is taken again by mantissas
-    and exponents, so it is inf, NaN or 0.0 only where the resistance itself
-    or one of its powers overflows or underflows.
-    :func:`network_from_columns` rejects all three.
+    a product that leaves the float range midway, or a power that leaves it,
+    is taken again by mantissas and exponents, so it is inf or 0.0 only where
+    the resistance itself overflows or underflows.
+    :func:`network_from_columns` rejects both.
     """
     values = _parameters([getattr(params, name) for name in _PARAMETERS])
     return float(_resistances(*(np.array([v]) for v in values))[0])
@@ -152,25 +152,39 @@ def _power(value: float, exponent: float) -> float:
 
 
 def _resistances(lengths: np.ndarray, diameters: np.ndarray, roughnesses: np.ndarray) -> np.ndarray:
-    """:func:`resistance` of every pipe; inf, NaN or 0 where it or a power leaves the float range.
+    """:func:`resistance` of every pipe; inf or 0 where it leaves the float range.
 
     The product runs left to right. Where it leaves the float range midway, it
     is taken again over the factors' mantissas, scaled by the sum of their
-    binary exponents, so that only a result out of range is inf or 0.
+    binary exponents, so that only a result out of range is inf or 0. A power
+    that is itself inf or 0 takes its mantissa and exponent from its parameter.
     """
-    factors = (
-        lengths,
-        _powers(diameters, RESISTANCE_DIAMETER_EXPONENT),
-        _powers(roughnesses, -HAZEN_WILLIAMS_EXPONENT),
-    )
+    powers = ((diameters, RESISTANCE_DIAMETER_EXPONENT), (roughnesses, -HAZEN_WILLIAMS_EXPONENT))
+    factors = (lengths, *(_powers(values, exponent) for values, exponent in powers))
     with np.errstate(over="ignore", invalid="ignore"):
         r = RESISTANCE_COEFFICIENT * factors[0] * factors[1] * factors[2]
         redo = ~(np.isfinite(r) & (r > 0))
         if redo.any():
             mantissas, exponents = np.frexp(np.stack([f[redo] for f in factors]))
+            for row, (values, exponent) in enumerate(powers, start=1):
+                out = np.flatnonzero(~np.isfinite(mantissas[row]) | (mantissas[row] == 0))
+                for i, value in zip(out.tolist(), values[redo][out].tolist()):
+                    mantissas[row, i], exponents[row, i] = _power_parts(value, exponent)
             scaled = RESISTANCE_COEFFICIENT * mantissas.prod(axis=0)
             r[redo] = np.ldexp(scaled, exponents.sum(axis=0))
     return r
+
+
+def _power_parts(value: float, exponent: float) -> tuple[float, int]:
+    """``value ** exponent`` as a mantissa and a binary exponent, also outside the float range.
+
+    ``value = m 2**k`` gives ``value ** exponent = m**exponent 2**(k exponent)``, and
+    ``k exponent`` splits into an integer and a fractional part.
+    """
+    m, k = math.frexp(value)
+    whole = math.floor(k * exponent)
+    mantissa, extra = math.frexp(m**exponent * 2.0 ** (k * exponent - whole))
+    return mantissa, whole + extra
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,11 @@ consumer rows always have full rank and admit an invertible square column
 selection. The consumer rows are the reduced incidence matrix of the graph
 with every reservoir merged into one ground node, so a set of pipe columns is
 independent exactly when those pipes form a forest in that grounded graph.
-Forest selection is therefore one union-find pass over the pipes. Every
+Forest selection is therefore one union-find pass over the pipes. The
+canonical forest with the reservoirs grounded and its orientation are
+cached as :attr:`Network.grounded_tree`: only :func:`select_independent_edges`
+and the heads-and-flows route build it, and :func:`greedy_independent_columns`
+and :func:`orient_forest`, the one orientation, read it once built. Every
 structure here reads the pipe end indices; the dense incidence matrix and
 exact elimination on it are the test oracles of :mod:`hydrostate.exact`,
 except that :func:`cycle_space_basis` still runs ``_solve_rational`` until
@@ -153,7 +157,7 @@ def cycle_space_basis(net: Network, decomposition: EdgeDecomposition | None = No
     positions = forest + chords
     if len(set(positions)) != len(positions) or len(positions) != net.n_pipes:
         raise DecompositionMismatchError("the decomposition must hold every pipe exactly once")
-    tree_walk(net, dec.independent)  # cached for the canonical split
+    orient_forest(net, forest, net.reservoir_indices)  # raises unless the forest spans
     tails, heads = consumer_ends(net)
     columns = np.zeros((net.n_consumers + 1, len(positions)), dtype=np.int64)
     k = np.arange(len(positions))
@@ -218,11 +222,12 @@ class ForestWalk:
 class GroundedTree:
     """The canonical split of the pipes and its forest's orientation.
 
-    ``forest`` holds the pipes that :func:`grounded_forest` keeps scanning all pipes in canonical
-    order, ``chords`` the others in canonical order, and ``walk`` is :func:`orient_forest` of the
-    forest from the reservoirs.
+    ``positions`` holds the pipes that :func:`grounded_forest` keeps scanning all pipes in
+    canonical order, ``forest`` their ids, ``chords`` the other ids in canonical order, and
+    ``walk`` is :func:`orient_forest` of the forest from the reservoirs.
     """
 
+    positions: tuple[int, ...]
     forest: tuple[str, ...]
     chords: tuple[str, ...]
     walk: ForestWalk
@@ -235,6 +240,7 @@ def grounded_tree(net: Network) -> GroundedTree:
     chosen = set(kept)
     ids = net.pipe_ids
     return GroundedTree(
+        tuple(kept),
         tuple(ids[j] for j in kept),
         tuple(pid for j, pid in enumerate(ids) if j not in chosen),
         orient_forest(net, kept, net.reservoir_indices),
@@ -248,10 +254,20 @@ _ALL_GROUNDED = ForestWalk(np.frombuffer(b"", dtype=np.intp).reshape(4, 0), (0,)
 def orient_forest(net: Network, positions: Sequence[int], grounded: Sequence[int]) -> ForestWalk:
     """Orient the forest pipes at ``positions`` breadth-first from the ``grounded`` node indices.
 
+    A built :attr:`Network.grounded_tree` gives its walk for its positions and reservoirs in order.
     Raises :class:`DecompositionMismatchError` unless they span the graph with ``grounded`` merged.
     """
-    if not positions and len(grounded) == net.n_nodes:
+    if len(positions) == 0 and len(grounded) == net.n_nodes:
         return _ALL_GROUNDED
+    tree = vars(net).get("grounded_tree")  # building the tree costs more than this pass
+    canonical = tree is not None and np.array_equal(positions, tree.positions)
+    if canonical and np.array_equal(grounded, net.reservoir_indices):
+        return tree.walk
+    return _breadth_first(net, positions, grounded)
+
+
+def _breadth_first(net: Network, positions: Sequence[int], grounded: Sequence[int]) -> ForestWalk:
+    """The breadth-first pass of :func:`orient_forest`."""
     queue, parents, pipes, levels = np.asarray(grounded).tolist(), [], [], [0]
     tails, ends = net.tail_indices.tolist(), net.head_indices.tolist()
     incident: list[list[int]] = [[] for _ in range(net.n_nodes)]
@@ -278,23 +294,6 @@ def orient_forest(net: Network, positions: Sequence[int], grounded: Sequence[int
     steps[3] = np.where(net.tail_indices[steps[2]] == steps[1], 1, -1)
     steps.setflags(write=False)
     return ForestWalk(steps, tuple(levels))
-
-
-def tree_walk(
-    net: Network, forest: Sequence[str] | None = None, grounded: Sequence[int] | None = None
-) -> ForestWalk:
-    """:func:`orient_forest` of the pipe ids ``forest`` from ``grounded`` (default: the reservoirs).
-
-    ``forest`` defaults to the canonical one, and must be given with another ``grounded``. The
-    canonical forest from the reservoirs is oriented once per network
-    (:attr:`Network.grounded_tree`); any other forest or grounded set is oriented afresh.
-    """
-    if grounded is None or np.array_equal(grounded, net.reservoir_indices):
-        tree = net.grounded_tree
-        if forest is None or tuple(forest) == tree.forest:
-            return tree.walk
-        grounded = net.reservoir_indices
-    return orient_forest(net, pipe_positions(net, forest), grounded)
 
 
 def walk_heads(walk: ForestWalk, heads: np.ndarray, loss: np.ndarray) -> np.ndarray:

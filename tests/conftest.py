@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hydrostate import Network, build_network, head_loss, params_for_resistance
-from hydrostate.structure import tree_walk, walk_heads
+from hydrostate.structure import walk_heads
 from hydrostate.testkit import GeneratorConfig, random_connected_wds
 
 
@@ -150,7 +150,7 @@ def forest_start(net: Network, reservoir_heads, demands):
 
     Consumer heads follow the forest's head losses down from the reservoirs.
     """
-    walk = tree_walk(net)
+    walk = net.grounded_tree.walk
     subtree, q = np.zeros(net.n_nodes), np.zeros(net.n_pipes)
     subtree[net.consumer_indices] = demands
     for child, parent, pipe, sign in reversed(walk.steps.T.tolist()):

@@ -1,5 +1,6 @@
 """Tests for the network model, resistance formula and incidence matrix."""
 
+import decimal
 import gc
 import math
 import re
@@ -200,6 +201,27 @@ class TestResistance:
         exact = float(math.prod(map(Fraction, factors)))
         assert math.isfinite(exact) and exact > 0
         assert resistance(params) == pytest.approx(exact, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            PipeParams(1.0, 1e-70, 1e200),  # the diameter power is inf, the roughness one 0.0
+            PipeParams(1e300, 1e70, 1e-100),  # the diameter power is 0.0
+        ],
+        ids=["inf_times_zero", "zero_power"],
+    )
+    def test_a_power_out_of_range_is_taken_from_its_parameter(self, params):
+        net = build_network([("R", "reservoir"), ("J", "consumer")], [("P", "R", "J", params)])
+        column = _resistances(*(np.array([v]) for v in (params.length, params.diameter,
+                                                         params.roughness)))
+        assert resistance(params) == net.resistances[0] == column[0]
+        D = decimal.Decimal
+        with decimal.localcontext() as context:
+            context.prec = 40  # 40 digits of the float parameters and constants
+            exact = (D(RESISTANCE_COEFFICIENT) * D(params.length)
+                     * D(params.diameter) ** D(RESISTANCE_DIAMETER_EXPONENT)
+                     * D(params.roughness) ** -D(HAZEN_WILLIAMS_EXPONENT))
+        assert resistance(params) == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize(
         "params, shown",

@@ -16,17 +16,22 @@ from hypothesis import strategies as st
 from hydrostate import (
     DecompositionMismatchError,
     EdgeDecomposition,
+    CompletionMethod,
     EmptySubsetError,
     GeneratorConfig,
     InconsistentObservationsError,
+    ObservationSet,
     PipeParams,
     UnknownNodeError,
     build_network,
+    complete,
     complete_from_forest_flows,
     complete_from_reservoir_heads_and_flows,
     cycle_space_basis,
     incidence_matrix,
     invert_head_loss,
+    network_from_json_dict,
+    network_to_json_dict,
     params_for_resistance,
     random_connected_wds,
     select_independent_edges,
@@ -39,7 +44,6 @@ from hydrostate.structure import (
     greedy_independent_columns,
     orient_forest,
     pipe_positions,
-    tree_walk,
     walk_heads,
 )
 from hydrostate.testkit import MAX_PARALLEL_PIPES, random_ground_truth_state
@@ -518,7 +522,7 @@ class TestTreeWalk:
         net = data.draw(shuffled_networks())
         grounded = sorted(data.draw(st.sets(st.integers(0, net.n_nodes - 1), min_size=1)))
         forest = greedy_independent_columns(net, net.pipe_ids, grounded)
-        walk = tree_walk(net, forest, grounded)
+        walk = orient_forest(net, pipe_positions(net, forest), grounded)
         steps = per_step_orientation(net, pipe_positions(net, forest), grounded)
         assert walk.steps.T.tolist() == [list(step) for step in steps]
 
@@ -551,7 +555,8 @@ class TestTreeWalk:
         # Heads along a forest found by scanning the pipes in a random order.
         forest = scanned_forest(net, data.draw(st.permutations(net.pipe_ids)))
         loss = rng.uniform(-10.0, 10.0, net.n_pipes)
-        walked = walk_heads(tree_walk(net, forest), h0, loss)
+        walk = orient_forest(net, pipe_positions(net, forest), net.reservoir_indices)
+        walked = walk_heads(walk, h0, loss)
         assert np.array_equal(walked[net.reservoir_indices], h_r)
         assert_close(walked[net.consumer_indices], dense_forest_heads(net, forest, h_r, loss), 1e-9)
 
@@ -573,14 +578,14 @@ class TestTreeWalk:
 
     def test_orientation_and_order(self, path_net):
         # R -> c1 -> c2 along the canonical orientation; c1 is reached first.
-        walk = tree_walk(path_net)
+        walk = path_net.grounded_tree.walk
         assert walk.steps.tolist() == [[1, 2], [0, 1], [0, 1], [1, 1]]
         assert walk.levels == (0, 1, 2) and walk.child.tolist() == [1, 2]
         heads = walk_heads(walk, np.array([100.0, 0.0, 0.0]), np.array([1.0, 0.5]))
         assert heads.tolist() == [100.0, 99.0, 98.5]
 
     def test_empty_forest_with_every_node_grounded(self, triangle_net):
-        walk = tree_walk(triangle_net, (), range(triangle_net.n_nodes))
+        walk = orient_forest(triangle_net, (), range(triangle_net.n_nodes))
         assert walk.steps.shape == (4, 0) and walk.levels == (0,)
         heads = np.array([3.0, 2.0, 1.0])
         assert walk_heads(walk, heads, np.zeros(3)).tolist() == heads.tolist()
@@ -592,11 +597,13 @@ class TestTreeWalk:
     )
     def test_not_a_spanning_forest(self, parallel_triangle_net, forest):
         with pytest.raises(DecompositionMismatchError):
-            tree_walk(parallel_triangle_net, forest)
+            positions = pipe_positions(parallel_triangle_net, forest)
+            orient_forest(parallel_triangle_net, positions, parallel_triangle_net.reservoir_indices)
 
     def test_unknown_pipe_id(self, triangle_net):
+        # Pipe ids reach the orientation as positions, and the conversion names an unknown id.
         with pytest.raises(UnknownNodeError, match="unknown pipe id: 'nope'"):
-            tree_walk(triangle_net, ("nope",))
+            orient_forest(triangle_net, pipe_positions(triangle_net, ("nope",)), [0])
 
 
 # --- the grounded tree, oriented once per network -----------------------------
@@ -630,38 +637,40 @@ class TestGroundedTree:
         canonical = scanned_forest(net, net.pipe_ids)
         assert tree.forest == canonical
         assert tree.chords == tuple(pid for pid in net.pipe_ids if pid not in canonical)
-        assert_same_walk(tree.walk, orient_forest(net, pipe_positions(net, canonical), reservoirs))
+        positions = pipe_positions(net, canonical)
+        assert tree.positions == tuple(positions)
+        assert_same_walk(tree.walk, structure._breadth_first(net, positions, reservoirs))
         assert_valid_orientation(net, canonical, reservoirs, tree.walk)
         assert select_independent_edges(net) == EdgeDecomposition(tree.forest, tree.chords)
 
-        # The canonical forest from the reservoirs, however passed, reads the cache.
-        assert tree_walk(net) is tree.walk
-        assert tree_walk(net, canonical) is tree.walk
-        assert tree_walk(net, list(canonical), list(reservoirs)) is tree.walk
-        assert tree_walk(net, canonical, net.reservoir_indices) is tree.walk
+        # The canonical positions from the reservoirs, however passed, read the cache.
+        for given_positions in (positions, tuple(positions), np.array(positions)):
+            assert orient_forest(net, given_positions, reservoirs) is tree.walk
+            assert orient_forest(net, given_positions, net.reservoir_indices) is tree.walk
 
         # A forest from a permuted scan, or another grounded order, is walked afresh.
         permuted = scanned_forest(net, data.draw(st.permutations(net.pipe_ids)))
-        walked = tree_walk(net, permuted)
-        assert_same_walk(walked, orient_forest(net, pipe_positions(net, permuted), reservoirs))
+        moved = pipe_positions(net, permuted)
+        walked = orient_forest(net, moved, reservoirs)
+        assert_same_walk(walked, structure._breadth_first(net, moved, reservoirs))
         assert_valid_orientation(net, permuted, reservoirs, walked)
         if permuted != canonical:
             assert walked is not tree.walk
         order = data.draw(st.permutations(reservoirs))
-        regrounded = tree_walk(net, canonical, order)
+        regrounded = orient_forest(net, positions, order)
         assert_valid_orientation(net, canonical, order, regrounded)
         assert (regrounded is tree.walk) == (order == reservoirs)
 
         # A forest that does not span the grounded graph still raises.
         with pytest.raises(DecompositionMismatchError):
-            tree_walk(net, permuted[1:])
+            orient_forest(net, pipe_positions(net, permuted[1:]), reservoirs)
         if tree.chords:
             with pytest.raises(DecompositionMismatchError):
-                tree_walk(net, permuted + tree.chords[:1])
+                orient_forest(net, pipe_positions(net, permuted + tree.chords[:1]), reservoirs)
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Count the union-find scans and the orientations, wherever they are called from."""
+        """Count the union-find scans and the breadth-first passes, wherever they are run from."""
         calls = {"scan": 0, "orient": 0}
 
         def counted(kind, fn):
@@ -670,7 +679,7 @@ class TestGroundedTree:
                 return fn(*args)
             return wrapper
 
-        for kind, name in (("scan", "grounded_forest"), ("orient", "orient_forest")):
+        for kind, name in (("scan", "grounded_forest"), ("orient", "_breadth_first")):
             monkeypatch.setattr(structure, name, counted(kind, getattr(structure, name)))
         return calls
 
@@ -678,8 +687,7 @@ class TestGroundedTree:
         net = looped_grid(6, 7, seed=3)
         truth = random_ground_truth_state(net, seed=8)
         h_r = truth.reservoir_heads(net)
-        assert counts == {"scan": 0, "orient": 1}  # the truth grounds every node, with no forest
-        counts.update(orient=0)
+        assert counts == {"scan": 0, "orient": 0}  # the truth grounds every node: no pass
         first = complete_from_reservoir_heads_and_flows(net, h_r, truth.flows)
         assert counts == {"scan": 1, "orient": 1}
         second = complete_from_reservoir_heads_and_flows(net, h_r, truth.flows)
@@ -692,3 +700,30 @@ class TestGroundedTree:
             net, h_r, {pid: truth.flows[net.pipe_index[pid]] for pid in dec.independent}, dec
         )
         assert counts == {"scan": 1, "orient": 1}
+
+    def test_forest_solve_on_a_fresh_network_builds_no_tree(self, counts):
+        # ``complete`` scans once to classify and orients the forest it kept; the canonical tree,
+        # a second scan, stays unbuilt.
+        built = looped_grid(6, 7, seed=3)
+        truth = random_ground_truth_state(built, seed=8)
+        forest = select_independent_edges(built).independent
+        net = network_from_json_dict(network_to_json_dict(built))
+        obs = ObservationSet(
+            heads={nid: float(truth.heads[net.node_index[nid]]) for nid in net.reservoir_ids},
+            flows={pid: float(truth.flows[net.pipe_index[pid]]) for pid in forest},
+        )
+        counts.update(scan=0, orient=0)
+        report = complete(net, obs)
+        assert report.theorem is CompletionMethod.FOREST_FLOWS
+        assert counts == {"scan": 1, "orient": 1} and "grounded_tree" not in vars(net)
+        assert_close(report.state.heads, truth.heads, 1e-9)
+
+    def test_noncanonical_cycle_basis_runs_one_pass_and_no_scan(self, counts):
+        built = looped_grid(6, 7, seed=3)
+        forest = scanned_forest(built, built.pipe_ids[::-1])
+        assert forest != select_independent_edges(built).independent
+        dec = EdgeDecomposition(forest, tuple(pid for pid in built.pipe_ids if pid not in forest))
+        net = network_from_json_dict(network_to_json_dict(built))
+        counts.update(scan=0, orient=0)
+        assert cycle_space_basis(net, dec).dimension == net.n_pipes - net.n_consumers
+        assert counts == {"scan": 0, "orient": 1} and "grounded_tree" not in vars(net)
