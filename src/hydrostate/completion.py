@@ -246,14 +246,16 @@ def _warn_negative_heads(net: Network, h: np.ndarray, nodes: np.ndarray) -> None
         )
 
 
-def _complete_on_forest(net, heads, walk, observed, flows, tol, theorem):
-    """The linear routes: walk the grounded ``heads`` along ``walk``, check ``observed`` flows.
+def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theorem):
+    """The linear routes: walk ``forest`` from the ``grounded`` heads, check ``observed`` flows.
 
+    ``forest`` holds pipe positions, or is None for the canonical forest from the reservoirs.
     ``tol=None`` skips the check, for flows that the walk cannot contradict.
     """
     loss = np.zeros(net.n_pipes)
     if observed.size:
         loss[observed] = observed_head_loss(net, observed, flows)
+    walk = net.grounded_tree.walk if forest is None else orient_forest(net, forest, grounded)
     h = walk_heads(walk, heads, loss)
     drops = h[net.tail_indices] - h[net.head_indices]
     q = invert_head_loss(drops, net.resistances)
@@ -308,8 +310,8 @@ def complete_from_heads(net: Network, heads: np.ndarray) -> SolveReport:
     inflow those flows deliver.
     """
     h = _one_per(heads, net.n_nodes, "head", "node")
-    walk, none = orient_forest(net, (), range(net.n_nodes)), np.arange(0)
-    return _complete_on_forest(net, h, walk, none, none, 0.0, CompletionMethod.ALL_HEADS)
+    everything, none = np.arange(net.n_nodes), np.arange(0)
+    return _complete_on_forest(net, h, everything, (), none, none, 0.0, CompletionMethod.ALL_HEADS)
 
 
 def complete_from_reservoir_heads_and_flows(
@@ -334,8 +336,8 @@ def complete_from_reservoir_heads_and_flows(
     h_r = _one_per(reservoir_heads, net.n_reservoirs, "reservoir head", "reservoir")
     q = _one_per(flows, net.n_pipes, "flow", "pipe")
     return _complete_on_forest(
-        net, _assemble_heads(net, h_r, 0.0), net.grounded_tree.walk, np.arange(net.n_pipes), q,
-        tol, CompletionMethod.HEADS_AND_FLOWS,
+        net, _assemble_heads(net, h_r, 0.0), net.reservoir_indices, None,
+        np.arange(net.n_pipes), q, tol, CompletionMethod.HEADS_AND_FLOWS,
     )
 
 
@@ -375,12 +377,13 @@ def _forest_flows_route(
 ) -> SolveReport:
     """The forest route from the ``heads`` at ``grounded``; ``flows`` may hold other pipes too."""
     q_forest = finite_numbers(flows, forest, "observation section 'flows'", InvalidObservationError)
-    positions = np.array(pipe_positions(net, forest), dtype=np.intp)
+    pipes = np.array(pipe_positions(net, forest), dtype=np.intp)
     h = np.zeros(net.n_nodes)
     h[grounded] = heads
-    walk = orient_forest(net, positions, grounded)
+    if np.array_equal(grounded, net.reservoir_indices):
+        net.grounded_tree  # built on first use, so that later solves skip the scan and the pass
     return _complete_on_forest(
-        net, h, walk, positions, np.array(q_forest), None, CompletionMethod.FOREST_FLOWS
+        net, h, grounded, pipes, pipes, np.array(q_forest), None, CompletionMethod.FOREST_FLOWS
     )
 
 

@@ -169,22 +169,12 @@ def _resistances(lengths: np.ndarray, diameters: np.ndarray, roughnesses: np.nda
             for row, (values, exponent) in enumerate(powers, start=1):
                 out = np.flatnonzero(~np.isfinite(mantissas[row]) | (mantissas[row] == 0))
                 for i, value in zip(out.tolist(), values[redo][out].tolist()):
-                    mantissas[row, i], exponents[row, i] = _power_parts(value, exponent)
+                    m, k = math.frexp(value)  # value**exponent = m**exponent 2**(k exponent)
+                    exponents[row, i] = whole = math.floor(k * exponent)
+                    mantissas[row, i] = m**exponent * 2.0 ** (k * exponent - whole)
             scaled = RESISTANCE_COEFFICIENT * mantissas.prod(axis=0)
             r[redo] = np.ldexp(scaled, exponents.sum(axis=0))
     return r
-
-
-def _power_parts(value: float, exponent: float) -> tuple[float, int]:
-    """``value ** exponent`` as a mantissa and a binary exponent, also outside the float range.
-
-    ``value = m 2**k`` gives ``value ** exponent = m**exponent 2**(k exponent)``, and
-    ``k exponent`` splits into an integer and a fractional part.
-    """
-    m, k = math.frexp(value)
-    whole = math.floor(k * exponent)
-    mantissa, extra = math.frexp(m**exponent * 2.0 ** (k * exponent - whole))
-    return mantissa, whole + extra
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,10 +7,10 @@ selection. The consumer rows are the reduced incidence matrix of the graph
 with every reservoir merged into one ground node, so a set of pipe columns is
 independent exactly when those pipes form a forest in that grounded graph.
 Forest selection is therefore one union-find pass over the pipes. The
-canonical forest with the reservoirs grounded and its orientation are
-cached as :attr:`Network.grounded_tree`: only :func:`select_independent_edges`
-and the heads-and-flows route build it, and :func:`greedy_independent_columns`
-and :func:`orient_forest`, the one orientation, read it once built. Every
+canonical forest from the reservoirs and its walk are cached as
+:attr:`Network.grounded_tree`, which the decomposition and the flow routes
+from the reservoir heads build, and which :func:`greedy_independent_columns`
+and :func:`orient_forest`, the one orientation, read once built. Every
 structure here reads the pipe end indices; the dense incidence matrix and
 exact elimination on it are the test oracles of :mod:`hydrostate.exact`,
 except that :func:`cycle_space_basis` still runs ``_solve_rational`` until
@@ -222,12 +222,11 @@ class ForestWalk:
 class GroundedTree:
     """The canonical split of the pipes and its forest's orientation.
 
-    ``positions`` holds the pipes that :func:`grounded_forest` keeps scanning all pipes in
-    canonical order, ``forest`` their ids, ``chords`` the other ids in canonical order, and
-    ``walk`` is :func:`orient_forest` of the forest from the reservoirs.
+    ``forest`` holds the pipes that :func:`grounded_forest` keeps scanning all pipes in canonical
+    order, ``chords`` the others in canonical order, and ``walk`` is :func:`orient_forest` of the
+    forest from the reservoirs.
     """
 
-    positions: tuple[int, ...]
     forest: tuple[str, ...]
     chords: tuple[str, ...]
     walk: ForestWalk
@@ -240,7 +239,6 @@ def grounded_tree(net: Network) -> GroundedTree:
     chosen = set(kept)
     ids = net.pipe_ids
     return GroundedTree(
-        tuple(kept),
         tuple(ids[j] for j in kept),
         tuple(pid for j, pid in enumerate(ids) if j not in chosen),
         orient_forest(net, kept, net.reservoir_indices),
@@ -254,14 +252,14 @@ _ALL_GROUNDED = ForestWalk(np.frombuffer(b"", dtype=np.intp).reshape(4, 0), (0,)
 def orient_forest(net: Network, positions: Sequence[int], grounded: Sequence[int]) -> ForestWalk:
     """Orient the forest pipes at ``positions`` breadth-first from the ``grounded`` node indices.
 
-    A built :attr:`Network.grounded_tree` gives its walk for its positions and reservoirs in order.
+    A built :attr:`Network.grounded_tree` gives its walk for its own forest and reservoirs in order.
     Raises :class:`DecompositionMismatchError` unless they span the graph with ``grounded`` merged.
     """
     if len(positions) == 0 and len(grounded) == net.n_nodes:
         return _ALL_GROUNDED
     tree = vars(net).get("grounded_tree")  # building the tree costs more than this pass
-    canonical = tree is not None and np.array_equal(positions, tree.positions)
-    if canonical and np.array_equal(grounded, net.reservoir_indices):
+    reservoirs = tree is not None and np.array_equal(grounded, net.reservoir_indices)
+    if reservoirs and tuple(net.pipe_ids[j] for j in positions) == tree.forest:
         return tree.walk
     return _breadth_first(net, positions, grounded)
 

@@ -949,8 +949,9 @@ def test_graph_modules_import_in_either_order(first):
         f"import {first}, hydrostate.network as n, hydrostate.structure as s\n"
         "net = n.build_network([('R', 'reservoir'), ('J', 'consumer')],"
         " [('P', 'R', 'J', n.PipeParams(1.0, 0.3, 100.0))])\n"
-        "walk = s.orient_forest(net, net.grounded_tree.positions, net.reservoir_indices)\n"
-        f"print(walk is net.grounded_tree.walk, *{_NOT_LOADED}, file=sys.stderr)"
+        "tree = net.grounded_tree\n"
+        "walk = s.orient_forest(net, s.pipe_positions(net, tree.forest), net.reservoir_indices)\n"
+        f"print(walk is tree.walk, *{_NOT_LOADED}, file=sys.stderr)"
     )
     assert _loaded_in_child(code) == ["True", "False", "False", "False"]
 

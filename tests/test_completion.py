@@ -442,6 +442,14 @@ class TestOverflowingFlows:
         with pytest.raises(ObservationOverflowError, match="'P1'"):
             complete_from_forest_flows(path3_net, np.array([100.0]), flows)
 
+    def test_forest_route_checks_losses_before_the_forest(self, parallel_triangle_net):
+        # e1 and e1p do not span; the overflow of e1's loss is found first all the same.
+        dec = EdgeDecomposition(("e1", "e1p"), ("e2", "e3"))
+        with pytest.raises(ObservationOverflowError, match="'e1'"):
+            complete_from_forest_flows(
+                parallel_triangle_net, np.array([100.0]), {"e1": 1e300, "e1p": 0.01}, dec
+            )
+
     def test_heads_flows_route_names_the_pipe(self, path3_net):
         # A tree has no cycle, so this must not read as an inconsistency.
         with pytest.raises(ObservationOverflowError, match="'P1'"):

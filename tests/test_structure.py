@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydrostate import (
+    CompletionMethod,
     DecompositionMismatchError,
     EdgeDecomposition,
-    CompletionMethod,
     EmptySubsetError,
     GeneratorConfig,
     InconsistentObservationsError,
@@ -638,7 +638,6 @@ class TestGroundedTree:
         assert tree.forest == canonical
         assert tree.chords == tuple(pid for pid in net.pipe_ids if pid not in canonical)
         positions = pipe_positions(net, canonical)
-        assert tree.positions == tuple(positions)
         assert_same_walk(tree.walk, structure._breadth_first(net, positions, reservoirs))
         assert_valid_orientation(net, canonical, reservoirs, tree.walk)
         assert select_independent_edges(net) == EdgeDecomposition(tree.forest, tree.chords)
@@ -701,9 +700,9 @@ class TestGroundedTree:
         )
         assert counts == {"scan": 1, "orient": 1}
 
-    def test_forest_solve_on_a_fresh_network_builds_no_tree(self, counts):
-        # ``complete`` scans once to classify and orients the forest it kept; the canonical tree,
-        # a second scan, stays unbuilt.
+    def test_forest_solves_read_the_tree_built_on_first_use(self, counts):
+        # The first ``complete`` scans to classify and builds the canonical tree (a scan and a
+        # pass); each later one on the same network reads the tree: no scan and no pass.
         built = looped_grid(6, 7, seed=3)
         truth = random_ground_truth_state(built, seed=8)
         forest = select_independent_edges(built).independent
@@ -713,10 +712,13 @@ class TestGroundedTree:
             flows={pid: float(truth.flows[net.pipe_index[pid]]) for pid in forest},
         )
         counts.update(scan=0, orient=0)
-        report = complete(net, obs)
-        assert report.theorem is CompletionMethod.FOREST_FLOWS
-        assert counts == {"scan": 1, "orient": 1} and "grounded_tree" not in vars(net)
-        assert_close(report.state.heads, truth.heads, 1e-9)
+        first = complete(net, obs)
+        assert first.theorem is CompletionMethod.FOREST_FLOWS
+        assert counts == {"scan": 2, "orient": 1} and "grounded_tree" in vars(net)
+        second = complete(net, obs)
+        assert counts == {"scan": 2, "orient": 1}
+        assert np.array_equal(first.state.heads, second.state.heads)
+        assert_close(first.state.heads, truth.heads, 1e-9)
 
     def test_noncanonical_cycle_basis_runs_one_pass_and_no_scan(self, counts):
         built = looped_grid(6, 7, seed=3)
