@@ -51,12 +51,18 @@ from .hydraulics import (
     state_to_json_dict,
 )
 from .band import solve_heads
-from .network import Network, check_json_object, consumer_outflow, finite_numbers, json_number
+from .network import (
+    Network,
+    NodeRole,
+    check_json_object,
+    consumer_outflow,
+    finite_numbers,
+    json_number,
+)
 from .structure import (
     EdgeDecomposition,
     orient_forest,
     pipe_positions,
-    select_independent_edges,
     walk_heads,
 )
 
@@ -93,9 +99,9 @@ class ObservationSet:
         for pid in self.flows:
             if pid not in net.pipe_index:
                 raise InvalidObservationError(f"flow observation at unknown pipe {pid!r}")
-        consumers = set(net.consumer_ids)
         for nid in self.demands:
-            if nid not in consumers:
+            node = net.node_index.get(nid)
+            if node is None or net.roles[node] is not NodeRole.CONSUMER:
                 raise InvalidObservationError(
                     f"demand observation at {nid!r}, which is not a consumer node"
                 )
@@ -362,13 +368,13 @@ def complete_from_forest_flows(
     """
     if not isinstance(forest_flows, Mapping):
         raise InvalidObservationError("observation section 'flows' must be a mapping")
-    dec = decomposition if decomposition is not None else select_independent_edges(net)
-    if set(forest_flows) != set(dec.independent):
+    forest = net.grounded_tree.forest if decomposition is None else decomposition.independent
+    if set(forest_flows) != set(forest):
         raise DecompositionMismatchError(
             "forest flows must be keyed exactly by the decomposition's independent edges"
         )
     h_r = _one_per(reservoir_heads, net.n_reservoirs, "reservoir head", "reservoir")
-    return _forest_flows_route(net, net.reservoir_indices, h_r, dec.independent, forest_flows)
+    return _forest_flows_route(net, net.reservoir_indices, h_r, forest, forest_flows)
 
 
 def _forest_flows_route(

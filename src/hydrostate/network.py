@@ -40,6 +40,8 @@ HAZEN_WILLIAMS_EXPONENT = 1.852
 RESISTANCE_COEFFICIENT = 10.67
 RESISTANCE_DIAMETER_EXPONENT = -4.8704
 _PARAMETERS = ("length", "diameter", "roughness")
+#: The range of positive normal floats; a power or product outside it is taken again.
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max
 
 
 class NodeRole(enum.Enum):
@@ -75,9 +77,11 @@ def resistance(params: PipeParams) -> float:
     Raises :class:`NonpositiveParameterError`, as the validator does, for a
     parameter that is not a finite positive number by :func:`json_number`.
     Otherwise positive, bit for bit as :attr:`Network.resistances` computes it:
-    a product that leaves the float range midway, or a power that leaves it,
-    is taken again by mantissas and exponents, so it is inf or 0.0 only where
-    the resistance itself overflows or underflows.
+    a power or a partial product that is not a positive normal float (out of
+    range, or subnormal with lost digits) is taken again by mantissas and
+    exponents, so the result keeps its digits unless it is itself subnormal,
+    and it is inf or 0.0 only where the resistance itself overflows or
+    underflows.
     :func:`network_from_columns` rejects both.
     """
     values = _parameters([getattr(params, name) for name in _PARAMETERS])
@@ -154,27 +158,38 @@ def _power(value: float, exponent: float) -> float:
 def _resistances(lengths: np.ndarray, diameters: np.ndarray, roughnesses: np.ndarray) -> np.ndarray:
     """:func:`resistance` of every pipe; inf or 0 where it leaves the float range.
 
-    The product runs left to right. Where it leaves the float range midway, it
-    is taken again over the factors' mantissas, scaled by the sum of their
-    binary exponents, so that only a result out of range is inf or 0. A power
-    that is itself inf or 0 takes its mantissa and exponent from its parameter.
+    The product runs left to right. Where a power or a partial product is not
+    a positive normal float, so that it left the float range or lost digits
+    below the smallest normal one, the product is taken again over the
+    factors' mantissas, scaled by the sum of their binary exponents: only a
+    result out of range is inf or 0, and only a subnormal one is rounded to
+    fewer digits. Such a power takes its mantissa and exponent from its
+    parameter.
     """
     powers = ((diameters, RESISTANCE_DIAMETER_EXPONENT), (roughnesses, -HAZEN_WILLIAMS_EXPONENT))
     factors = (lengths, *(_powers(values, exponent) for values, exponent in powers))
     with np.errstate(over="ignore", invalid="ignore"):
-        r = RESISTANCE_COEFFICIENT * factors[0] * factors[1] * factors[2]
-        redo = ~(np.isfinite(r) & (r > 0))
+        r = RESISTANCE_COEFFICIENT * factors[0]
+        normal = _normal(r)
+        for power in factors[1:]:
+            r = r * power
+            normal &= _normal(power) & _normal(r)
+        redo = ~normal
         if redo.any():
             mantissas, exponents = np.frexp(np.stack([f[redo] for f in factors]))
             for row, (values, exponent) in enumerate(powers, start=1):
-                out = np.flatnonzero(~np.isfinite(mantissas[row]) | (mantissas[row] == 0))
-                for i, value in zip(out.tolist(), values[redo][out].tolist()):
-                    m, k = math.frexp(value)  # value**exponent = m**exponent 2**(k exponent)
-                    exponents[row, i] = whole = math.floor(k * exponent)
-                    mantissas[row, i] = m**exponent * 2.0 ** (k * exponent - whole)
+                out = ~_normal(factors[row][redo])
+                m, k = np.frexp(values[redo][out])  # value**exponent = m**exponent 2**(k exponent)
+                exponents[row, out] = whole = np.floor(k * exponent)
+                mantissas[row, out] = m**exponent * 2.0 ** (k * exponent - whole)
             scaled = RESISTANCE_COEFFICIENT * mantissas.prod(axis=0)
             r[redo] = np.ldexp(scaled, exponents.sum(axis=0))
     return r
+
+
+def _normal(values: np.ndarray) -> np.ndarray:
+    """Where ``values`` are positive normal floats: finite and at least the smallest normal one."""
+    return (values >= _TINY) & (values <= _HUGE)
 
 
 @dataclass(frozen=True, eq=False)

@@ -118,13 +118,13 @@ def greedy_independent_columns(
 def select_independent_edges(net: Network) -> EdgeDecomposition:
     """Deterministic forest/chord decomposition of all pipes.
 
-    Greedy scan in canonical pipe order, computed once per network
-    (:attr:`Network.grounded_tree`); existence of a full selection is
-    guaranteed because the consumer rows have rank equal to the consumer
-    count.
+    Greedy scan in canonical pipe order, whose forest is computed once per network
+    (:attr:`Network.grounded_tree`); the chords are the other pipes, in canonical order. A full
+    selection exists because the consumer rows have rank equal to the consumer count.
     """
-    tree = net.grounded_tree
-    return EdgeDecomposition(tree.forest, tree.chords)
+    forest = net.grounded_tree.forest
+    chosen = set(forest)
+    return EdgeDecomposition(forest, tuple(pid for pid in net.pipe_ids if pid not in chosen))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,15 +220,15 @@ class ForestWalk:
 
 @dataclass(frozen=True, eq=False)
 class GroundedTree:
-    """The canonical split of the pipes and its forest's orientation.
+    """The canonical forest and its orientation from the reservoirs.
 
     ``forest`` holds the pipes that :func:`grounded_forest` keeps scanning all pipes in canonical
-    order, ``chords`` the others in canonical order, and ``walk`` is :func:`orient_forest` of the
-    forest from the reservoirs.
+    order, and ``walk`` is :func:`orient_forest` of the forest from the reservoirs, so the sorted
+    ``walk.steps[2]`` are the forest's positions. The chords are the other pipes, which
+    :func:`select_independent_edges` lists.
     """
 
     forest: tuple[str, ...]
-    chords: tuple[str, ...]
     walk: ForestWalk
 
 
@@ -236,13 +236,8 @@ def grounded_tree(net: Network) -> GroundedTree:
     """The canonical :class:`GroundedTree`, which :attr:`Network.grounded_tree` caches."""
     kept = grounded_forest(net, range(net.n_pipes))
     assert len(kept) == net.n_consumers, "a connected network has a spanning forest"
-    chosen = set(kept)
-    ids = net.pipe_ids
-    return GroundedTree(
-        tuple(ids[j] for j in kept),
-        tuple(pid for j, pid in enumerate(ids) if j not in chosen),
-        orient_forest(net, kept, net.reservoir_indices),
-    )
+    forest = tuple(net.pipe_ids[j] for j in kept)
+    return GroundedTree(forest, orient_forest(net, kept, net.reservoir_indices))
 
 
 #: The walk of an empty forest with every node grounded (read-only: it views immutable bytes).
@@ -252,14 +247,14 @@ _ALL_GROUNDED = ForestWalk(np.frombuffer(b"", dtype=np.intp).reshape(4, 0), (0,)
 def orient_forest(net: Network, positions: Sequence[int], grounded: Sequence[int]) -> ForestWalk:
     """Orient the forest pipes at ``positions`` breadth-first from the ``grounded`` node indices.
 
-    A built :attr:`Network.grounded_tree` gives its walk for its own forest and reservoirs in order.
-    Raises :class:`DecompositionMismatchError` unless they span the graph with ``grounded`` merged.
+    A built :attr:`Network.grounded_tree` gives its walk for its forest's sorted positions and the
+    reservoirs in order. Raises :class:`DecompositionMismatchError` unless they span the graph.
     """
     if len(positions) == 0 and len(grounded) == net.n_nodes:
         return _ALL_GROUNDED
     tree = vars(net).get("grounded_tree")  # building the tree costs more than this pass
     reservoirs = tree is not None and np.array_equal(grounded, net.reservoir_indices)
-    if reservoirs and tuple(net.pipe_ids[j] for j in positions) == tree.forest:
+    if reservoirs and np.array_equal(positions, np.sort(tree.walk.steps[2])):
         return tree.walk
     return _breadth_first(net, positions, grounded)
 

@@ -485,6 +485,12 @@ class TestObservationSet:
         with pytest.raises(InvalidObservationError):
             ObservationSet(demands={"R": 1.0}).validate(triangle_net)
 
+    @pytest.mark.parametrize("nid", ["R", "nope"])
+    def test_validate_names_a_demand_off_the_consumers(self, triangle_net, nid):
+        message = f"demand observation at {nid!r}, which is not a consumer node"
+        with pytest.raises(InvalidObservationError, match=f"^{re.escape(message)}$"):
+            ObservationSet(demands={"c1": 0.5, nid: 1.0}).validate(triangle_net)
+
     def test_vectors(self, triangle_net):
         obs = ObservationSet(
             heads={"R": 100.0, "c1": 99.0, "c2": 98.0},

@@ -187,8 +187,9 @@ class TestResistance:
         [
             PipeParams(6.7e307, 0.3, 100.0),  # 10.67 * length overflows first
             PipeParams(5e-324, 2.6, 1e-100),  # 10.67 * length * diameter factor underflows first
+            PipeParams(1e-300, 1e3, 1e-10),  # 10.67 * length * diameter factor is subnormal
         ],
-        ids=["overflow_midway", "underflow_midway"],
+        ids=["overflow_midway", "underflow_midway", "subnormal_midway"],
     )
     def test_a_product_out_of_range_midway_is_taken_again(self, params):
         net = build_network([("R", "reservoir"), ("J", "consumer")], [("P", "R", "J", params)])
@@ -200,15 +201,17 @@ class TestResistance:
                    params.roughness**-HAZEN_WILLIAMS_EXPONENT)
         exact = float(math.prod(map(Fraction, factors)))
         assert math.isfinite(exact) and exact > 0
-        assert resistance(params) == pytest.approx(exact, rel=1e-15)
+        assert resistance(params) == pytest.approx(exact, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize(
         "params",
         [
             PipeParams(1.0, 1e-70, 1e200),  # the diameter power is inf, the roughness one 0.0
             PipeParams(1e300, 1e70, 1e-100),  # the diameter power is 0.0
+            PipeParams(1e300, 6e65, 100.0),  # the diameter power is subnormal: 4.3e-321
+            PipeParams(1e300, 5e65, 100.0),  # the diameter power is subnormal: 1.05e-320
         ],
-        ids=["inf_times_zero", "zero_power"],
+        ids=["inf_times_zero", "zero_power", "subnormal_power", "subnormal_power_wider"],
     )
     def test_a_power_out_of_range_is_taken_from_its_parameter(self, params):
         net = build_network([("R", "reservoir"), ("J", "consumer")], [("P", "R", "J", params)])
@@ -221,7 +224,7 @@ class TestResistance:
             exact = (D(RESISTANCE_COEFFICIENT) * D(params.length)
                      * D(params.diameter) ** D(RESISTANCE_DIAMETER_EXPONENT)
                      * D(params.roughness) ** -D(HAZEN_WILLIAMS_EXPONENT))
-        assert resistance(params) == pytest.approx(float(exact), rel=1e-12)
+        assert resistance(params) == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "params, shown",

@@ -5,6 +5,7 @@ Image membership of a pipe-space target ``t`` is tested through
 ``t + Br^T h_r`` complete exactly when ``t`` lies in the image of ``Bc^T``.
 """
 
+import dataclasses
 from collections import deque
 from unittest import mock
 
@@ -636,11 +637,13 @@ class TestGroundedTree:
         reservoirs = net.reservoir_indices.tolist()
         canonical = scanned_forest(net, net.pipe_ids)
         assert tree.forest == canonical
-        assert tree.chords == tuple(pid for pid in net.pipe_ids if pid not in canonical)
+        chords = select_independent_edges(net).dependent
+        assert chords == tuple(pid for pid in net.pipe_ids if pid not in canonical)
         positions = pipe_positions(net, canonical)
+        assert np.sort(tree.walk.steps[2]).tolist() == positions
         assert_same_walk(tree.walk, structure._breadth_first(net, positions, reservoirs))
         assert_valid_orientation(net, canonical, reservoirs, tree.walk)
-        assert select_independent_edges(net) == EdgeDecomposition(tree.forest, tree.chords)
+        assert select_independent_edges(net) == EdgeDecomposition(tree.forest, chords)
 
         # The canonical positions from the reservoirs, however passed, read the cache.
         for given_positions in (positions, tuple(positions), np.array(positions)):
@@ -663,9 +666,13 @@ class TestGroundedTree:
         # A forest that does not span the grounded graph still raises.
         with pytest.raises(DecompositionMismatchError):
             orient_forest(net, pipe_positions(net, permuted[1:]), reservoirs)
-        if tree.chords:
+        if chords:
             with pytest.raises(DecompositionMismatchError):
-                orient_forest(net, pipe_positions(net, permuted + tree.chords[:1]), reservoirs)
+                orient_forest(net, pipe_positions(net, permuted + chords[:1]), reservoirs)
+
+    def test_holds_only_the_forest_and_its_walk(self, parallel_triangle_net):
+        tree = parallel_triangle_net.grounded_tree
+        assert [f.name for f in dataclasses.fields(tree)] == ["forest", "walk"]
 
     @pytest.fixture
     def counts(self, monkeypatch):
