@@ -231,8 +231,10 @@ def _cmd_check(args, net: Network) -> int:
     report = residuals(net, state)
     correct = report.physically_correct(args.tol)
     payload = report.to_json_dict()
-    payload["physically_correct"] = correct
-    payload["tolerance"] = args.tol
+    for norm in ("energy_inf_norm", "mass_inf_norm"):
+        payload[norm] = _finite_or_none(payload[norm])
+    payload.update(physically_correct=correct, tolerance=args.tol,
+                   energy_floor=report.energy_floor, mass_floor=report.mass_floor)
     _emit(payload)
     return EXIT_OK if correct else EXIT_FAILED_CHECK
 

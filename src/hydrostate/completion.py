@@ -145,8 +145,6 @@ class ObservationSet:
 ZERO_FLOW_EPSILON = 1e-8
 #: Step halvings a Newton step may take before the solve gives up.
 MAX_STEP_HALVINGS = 30
-#: A stalled residual at most this times its largest head term is float rounding alone.
-FLOAT_RESOLUTION = 16 * np.finfo(float).eps
 #: Default Newton iteration budget of the demand-driven solver.
 MAX_ITERATIONS = 100
 
@@ -275,8 +273,9 @@ def _complete_on_forest(net, heads, grounded, forest, observed, flows, tol, theo
     if observed.size and tol is not None:
         _check_flows(net, h, observed, loss[observed], tol)
     _warn_negative_heads(net, h, walk.child)
-    report = residual_report(net, drops - head_loss(q, net.resistances), d + outflow)
-    return SolveReport(HydraulicState(h, q, d), 0, report, theorem)
+    state = HydraulicState(h, q, d)
+    report = residual_report(net, state, drops - head_loss(q, net.resistances), d + outflow)
+    return SolveReport(state, 0, report, theorem)
 
 
 def _check(observed: str, mismatch: np.ndarray, reference: np.ndarray, tol: float) -> None:
@@ -451,13 +450,12 @@ def solve_reservoir_heads_demands(
     once per network and cached as :attr:`Network.linear_head_factor`. The
     head-loss derivative vanishes at zero flow, so ``D`` clamps ``|q|`` from
     below by ``ZERO_FLOW_EPSILON``; the residual itself always uses the exact
-    nonlinearity, so the converged state is unbiased. The iteration stops once
-    the largest residual is at most ``tol``. Raises ``ValueError`` unless
-    ``tol`` is a finite number >= 0 and ``max_iterations`` an integer >= 0,
-    :class:`InvalidObservationError` on non-finite heads or demands and
-    :class:`NonConvergenceError` when the start's residual is not finite, the
-    ``max_iterations`` budget runs out or no damped step decreases the residual
-    (saying so when that residual is at the float resolution of the heads).
+    nonlinearity, so the converged state is unbiased. Iteration ends at a
+    residual <= ``tol``, a spent ``max_iterations`` budget or a stall (no damped
+    step lowers the residual). Raises ``ValueError`` unless ``tol`` is a finite
+    number >= 0 and ``max_iterations`` an integer >= 0, :class:`InvalidObservationError`
+    on non-finite heads or demands and :class:`NonConvergenceError` on a non-finite
+    start, a singular step or a final report that fails ``physically_correct(tol)``.
     """
     require_tolerance(tol)
     require_iterations(max_iterations)
@@ -481,9 +479,7 @@ def solve_reservoir_heads_demands(
         raise NonConvergenceError(0, norm)
 
     iterations = 0
-    while norm > tol:
-        if iterations >= max_iterations:
-            raise NonConvergenceError(iterations, norm)
+    while norm > tol and iterations < max_iterations:
         slope = x * r * np.maximum(np.abs(q), ZERO_FLOW_EPSILON) ** (x - 1.0)
         try:
             dq, dh = _newton_step(net, slope, F)
@@ -504,18 +500,15 @@ def solve_reservoir_heads_demands(
                 break
             lam *= 0.5
         else:
-            error = NonConvergenceError(iterations, norm)
-            scale = float(np.max(np.abs(np.concatenate([h_r, h_c, head_loss(q, r)]))))
-            if norm <= FLOAT_RESOLUTION * scale:  # rounding alone leaves a residual this size
-                note = f"the residual sits at float resolution for heads up to {scale:.3g} m"
-                error.args = (f"{error}; {note}",)
-            raise error
+            break  # a stall: the report below tells rounding from failure
 
         q, h_c, F, norm = q_new, h_new, F_new, norm_new
         iterations += 1
 
-    h = _assemble_heads(net, h_r, h_c)
-    _warn_negative_heads(net, h, net.consumer_indices)
+    state = HydraulicState(_assemble_heads(net, h_r, h_c), q, d)
     # F holds the residuals of exactly this state, bit for bit.
-    report = residual_report(net, F[: net.n_pipes], F[net.n_pipes :])
-    return SolveReport(HydraulicState(h, q, d), iterations, report, CompletionMethod.DEMAND_DRIVEN)
+    report = residual_report(net, state, F[: net.n_pipes], F[net.n_pipes :])
+    if not report.physically_correct(tol):
+        raise NonConvergenceError(iterations, norm)
+    _warn_negative_heads(net, state.heads, net.consumer_indices)
+    return SolveReport(state, iterations, report, CompletionMethod.DEMAND_DRIVEN)

@@ -22,6 +22,8 @@ from .network import (
 
 #: Residual tolerance for accepting an iteratively solved state.
 SOLVER_TOLERANCE = 1e-8
+#: Rounding alone leaves a residual up to this times its largest term (Higham 2002, ch. 3).
+FLOAT_RESOLUTION = 16 * float(np.finfo(float).eps)
 
 
 def head_loss(flow, resistance):
@@ -111,17 +113,20 @@ def demands_from_flows(net: Network, flows: np.ndarray) -> np.ndarray:
 class ResidualReport:
     """Infinity norms of the energy and mass residuals with their argmax locations.
 
-    A state is physically correct at tolerance ``tol`` iff both norms are at
-    most ``tol``.
+    A state is physically correct at tolerance ``tol`` iff each norm is at most ``tol`` plus its
+    floor: ``FLOAT_RESOLUTION`` times the largest head (energy), or flow or demand (mass).
     """
 
     energy_inf_norm: float
     mass_inf_norm: float
     max_energy_pipe: str
     max_mass_node: str
+    energy_floor: float
+    mass_floor: float
 
     def physically_correct(self, tol: float) -> bool:
-        return self.energy_inf_norm <= tol and self.mass_inf_norm <= tol
+        return (self.energy_inf_norm - self.energy_floor <= tol  # inf or NaN never passes
+                and self.mass_inf_norm - self.mass_floor <= tol)
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,16 +138,17 @@ class ResidualReport:
 
 
 def residuals(net: Network, state: HydraulicState) -> ResidualReport:
-    """Per-pipe energy and per-consumer mass residuals of a state."""
+    """Per-pipe energy and per-consumer mass residuals of a state; an overflow reads inf or NaN."""
     h, q, d = state.heads, state.flows, state.demands
     if h.shape != (net.n_nodes,) or q.shape != (net.n_pipes,) or d.shape != (net.n_consumers,):
         raise ValueError("state dimensions do not match the network")
-    energy = (h[net.tail_indices] - h[net.head_indices]) - head_loss(q, net.resistances)
-    return residual_report(net, energy, d + consumer_outflow(net, q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = (h[net.tail_indices] - h[net.head_indices]) - head_loss(q, net.resistances)
+        return residual_report(net, state, energy, d + consumer_outflow(net, q))
 
 
-def residual_report(net: Network, energy: np.ndarray, mass: np.ndarray) -> ResidualReport:
-    """The report of signed per-pipe energy and per-consumer mass residuals."""
+def residual_report(net: Network, state: HydraulicState, energy, mass) -> ResidualReport:
+    """The report of ``state``'s signed per-pipe energy and per-consumer mass residuals."""
     energy, mass = np.abs(energy), np.abs(mass)
     e_arg = int(energy.argmax())
     m_arg = int(mass.argmax())
@@ -151,6 +157,8 @@ def residual_report(net: Network, energy: np.ndarray, mass: np.ndarray) -> Resid
         mass_inf_norm=float(mass[m_arg]),
         max_energy_pipe=net.pipe_ids[e_arg],
         max_mass_node=net.consumer_ids[m_arg],
+        energy_floor=FLOAT_RESOLUTION * float(abs(state.heads).max()),
+        mass_floor=FLOAT_RESOLUTION * float(max(abs(state.flows).max(), abs(state.demands).max())),
     )
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from hydrostate import (
     structure,
 )
 from hydrostate.cli import _emit, build_parser, run_cli
+from hydrostate.hydraulics import residuals, state_from_json_dict
 from hydrostate.testkit import GeneratorConfig, random_connected_wds, random_ground_truth_state
 
 SINGLE_PIPE_HEAD = 99.44598382606754  # 100 - 2 * 0.5**1.852, 50-digit evaluation
@@ -798,6 +800,51 @@ class TestCheck:
         code, payload = invoke(capsys, ["check", triangle_file, "--state", state])
         assert code == 1
         assert payload["physically_correct"] is False
+
+    def test_state_at_float_resolution_solves_and_passes(self, capsys, tmp_path):
+        # 10^4 times the demands give heads of about 1e9 m: rounding alone leaves an energy
+        # residual above the tolerance, within the floor that the document gives next to it.
+        net = random_connected_wds(GeneratorConfig(0, n_reservoirs=1, n_consumers=8, extra_edges=3))
+        truth = random_ground_truth_state(net, 0)
+        net_path = write_json(tmp_path / "net.json", network_to_json_dict(net))
+        obs = {"heads": dict(zip(net.reservoir_ids, map(float, truth.reservoir_heads(net)))),
+               "demands": dict(zip(net.consumer_ids, map(float, 1e4 * truth.demands)))}
+        obs_path = write_json(tmp_path / "obs.json", obs)
+        with pytest.warns(UserWarning, match="negative consumer heads"):
+            code, solved = invoke(capsys, ["solve", net_path, "--obs", obs_path])
+        assert (code, solved["theorem"], solved["iterations"]) == (0, "demand_driven", 4)
+
+        state_path = write_json(tmp_path / "state.json", solved["state"])
+        code, checked = invoke(capsys, ["check", net_path, "--state", state_path])
+        assert code == 0
+        assert checked["physically_correct"] is True
+        assert checked["energy_inf_norm"] > checked["tolerance"] == 1e-8
+        report = residuals(net, state_from_json_dict(net, solved["state"]))
+        assert (checked["energy_floor"], checked["mass_floor"]) == (
+            report.energy_floor, report.mass_floor)
+
+    @pytest.mark.parametrize(
+        "edits",
+        [{"flows": {"P1": 1e300}}, {"heads": {"R1": 1.7e308, "J1": -1.7e308}},
+         {"flows": {"P1": 1e300}, "heads": {"R1": 1.7e308, "J1": -1.7e308}}],
+        ids=["flow", "heads", "inf_minus_inf"],
+    )
+    def test_overflowing_residual_is_null(self, capsys, tmp_path, edits):
+        net = random_connected_wds(GeneratorConfig(1, n_consumers=3))
+        doc = state_to_json_dict(net, random_ground_truth_state(net, 1))
+        for section, values in edits.items():
+            doc[section].update(values)
+        net_path = write_json(tmp_path / "net.json", network_to_json_dict(net))
+        state_path = write_json(tmp_path / "state.json", doc)
+        code = run_cli(["check", net_path, "--state", state_path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["energy_inf_norm"] is None
+        assert payload["physically_correct"] is False
+        assert math.isfinite(payload["mass_inf_norm"])
+        assert math.isfinite(payload["energy_floor"])
 
     def test_incomplete_state_is_parse_error(self, capsys, tmp_path, triangle_file):
         state = write_json(tmp_path / "state.json", {"heads": {"R": 1.0}})

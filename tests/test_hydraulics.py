@@ -1,5 +1,7 @@
 """Tests for head loss, mass balance, residuals and the monotone-operator gap."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,7 +17,7 @@ from hydrostate import (
     residuals,
     symmetric_expansion,
 )
-from hydrostate.hydraulics import state_from_json_dict, state_to_json_dict
+from hydrostate.hydraulics import FLOAT_RESOLUTION, state_from_json_dict, state_to_json_dict
 from hydrostate.testkit import random_ground_truth_state
 
 from conftest import make_random_networks
@@ -89,10 +91,26 @@ class TestDemandsFromFlows:
 
 class TestResiduals:
     def test_ground_truth_is_physically_correct(self):
+        # Even at tolerance 0: its rounding (energy up to about 3e-14) is within the floors.
         for net in make_random_networks(10, seed0=61):
             state = random_ground_truth_state(net, seed=123)
             report = residuals(net, state)
-            assert report.physically_correct(1e-12)
+            assert report.physically_correct(0.0)
+            assert report.energy_floor == FLOAT_RESOLUTION * np.abs(state.heads).max()
+            largest_flow = max(np.abs(state.flows).max(), np.abs(state.demands).max())
+            assert report.mass_floor == FLOAT_RESOLUTION * largest_flow
+
+    @pytest.mark.parametrize(
+        "heads, flows",
+        [([1e308, -1e308], [0.0]), ([math.inf, 0.0], [0.0]), ([0.0, 0.0], [math.inf]),
+         ([1.7e308, -1.7e308], [1e300]), ([math.nan, 0.0], [0.0])],
+        ids=["overflowing_drop", "inf_head", "inf_flow", "inf_minus_inf", "nan_head"],
+    )
+    def test_non_finite_norm_never_passes(self, single_pipe_net, heads, flows):
+        # No RuntimeWarning either: the filter in pyproject.toml makes one an error.
+        report = residuals(single_pipe_net, HydraulicState(heads, flows, [0.0]))
+        assert not math.isfinite(report.energy_inf_norm)
+        assert not report.physically_correct(1e300)
 
     def test_single_flow_perturbation(self, path_net):
         # force |q| near 1 on pipe e1 by constructing heads directly
